@@ -69,6 +69,12 @@ std::vector<double> MoeEngine::expert_popularity(std::size_t layer,
 std::vector<std::size_t> MoeEngine::route_tokens(std::size_t layer,
                                                  std::int64_t iter,
                                                  int microbatch) const {
+  return route_tokens(layer, iter, microbatch, expert_popularity(layer, iter));
+}
+
+std::vector<std::size_t> MoeEngine::route_tokens(
+    std::size_t layer, std::int64_t iter, int microbatch,
+    const std::vector<double>& pop) const {
   const auto& desc = model_->layers[layer];
   const std::size_t E = desc.num_experts;
   const std::size_t k = std::max<std::size_t>(1, desc.top_k);
@@ -81,7 +87,6 @@ std::vector<std::size_t> MoeEngine::route_tokens(std::size_t layer,
     return counts;
   }
 
-  const auto pop = expert_popularity(layer, iter);
   Rng rng(hash_mix(cfg_.seed ^ 0xab1e, layer,
                    static_cast<std::uint64_t>(iter) * 131 +
                        static_cast<std::uint64_t>(microbatch)));
@@ -132,25 +137,23 @@ double MoeEngine::bottleneck_factor(std::span<const std::size_t> per_expert) {
   return mean > 0.0 ? static_cast<double>(mx) / mean : 1.0;
 }
 
-double MoeEngine::layer_load_factor(std::size_t layer, std::int64_t iter,
-                                    int microbatch) const {
-  const auto counts = route_tokens(layer, iter, microbatch);
-  return bottleneck_factor(counts);
-}
-
 void MoeEngine::step(std::int64_t iter,
                      std::span<model::LayerState> states) {
   DYNMO_CHECK(states.size() == model_->num_layers(), "state size mismatch");
   mb_load_.assign(model_->num_layers(), {});
+  mb_mean_.assign(model_->num_layers(), 0.0);
   for (std::size_t l : moe_layers_) {
+    const auto pop = expert_popularity(l, iter);
     auto& per_mb = mb_load_[l];
     per_mb.resize(static_cast<std::size_t>(cfg_.num_microbatches));
     double mean = 0.0;
     for (int mb = 0; mb < cfg_.num_microbatches; ++mb) {
-      per_mb[static_cast<std::size_t>(mb)] = layer_load_factor(l, iter, mb);
+      per_mb[static_cast<std::size_t>(mb)] =
+          bottleneck_factor(route_tokens(l, iter, mb, pop));
       mean += per_mb[static_cast<std::size_t>(mb)];
     }
     mean /= static_cast<double>(cfg_.num_microbatches);
+    mb_mean_[l] = mean;
     states[l].moe_load = mean;
   }
   cached_iter_ = iter;
@@ -163,9 +166,7 @@ pipeline::MicrobatchScaleFn MoeEngine::microbatch_scale(std::int64_t iter) {
   return [this](std::size_t layer, int mb) -> double {
     if (layer >= mb_load_.size() || mb_load_[layer].empty()) return 1.0;
     const auto& per_mb = mb_load_[layer];
-    double mean = 0.0;
-    for (double v : per_mb) mean += v;
-    mean /= static_cast<double>(per_mb.size());
+    const double mean = mb_mean_[layer];
     if (mean <= 0.0) return 1.0;
     return per_mb[static_cast<std::size_t>(mb) % per_mb.size()] / mean;
   };

@@ -63,8 +63,11 @@ class MoeEngine final : public DynamismEngine {
   static double bottleneck_factor(std::span<const std::size_t> per_expert);
 
  private:
-  double layer_load_factor(std::size_t layer, std::int64_t iter,
-                           int microbatch) const;
+  /// route_tokens() with the layer's expert popularity already computed
+  /// (step() draws every microbatch of a layer from one popularity).
+  std::vector<std::size_t> route_tokens(std::size_t layer, std::int64_t iter,
+                                        int microbatch,
+                                        const std::vector<double>& pop) const;
   std::vector<double> expert_popularity(std::size_t layer,
                                         std::int64_t iter) const;
 
@@ -73,6 +76,7 @@ class MoeEngine final : public DynamismEngine {
   std::vector<std::size_t> moe_layers_;  ///< indices of MoE blocks
   // Cached per-(iter) microbatch load factors, refreshed in step().
   std::vector<std::vector<double>> mb_load_;  ///< [layer][microbatch]
+  std::vector<double> mb_mean_;  ///< [layer] mean of mb_load_[layer]
   std::int64_t cached_iter_ = -1;
 };
 
