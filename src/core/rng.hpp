@@ -117,6 +117,11 @@ class Rng {
   bool bernoulli(double p) { return uniform() < p; }
   /// Sample from unnormalised weights; returns index.
   std::size_t categorical(const std::vector<double>& weights);
+  /// Binomial(n, p) variate, exact: inversion while n·min(p, 1−p) < 10,
+  /// else Hörmann's BTRS transformed rejection.  Built on uniform() alone,
+  /// so the stream is the same on every standard library.  p must lie in
+  /// [0, 1] (NaN throws).
+  std::uint64_t binomial(std::uint64_t n, double p);
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -8,6 +8,32 @@
 
 namespace dynmo::dynamic {
 
+namespace {
+
+/// Adds one Multinomial(n, weights with index `skip` removed) draw to
+/// `out`, as conditional binomials from left to right: expert i takes
+/// Binomial(n_left, w_i / Σ_{j ≥ i, j ≠ skip} w_j).  The suffix sums make
+/// the last eligible expert's probability exactly 1, so all n land.
+/// `skip` ≥ weights.size() removes nothing.  `suffix` is scratch space.
+void add_multinomial(Rng& rng, std::size_t n, std::span<const double> w,
+                     std::size_t skip, std::vector<double>& suffix,
+                     std::vector<std::size_t>& out) {
+  const std::size_t E = w.size();
+  suffix.assign(E + 1, 0.0);
+  for (std::size_t i = E; i-- > 0;) {
+    suffix[i] = suffix[i + 1] + (i == skip ? 0.0 : w[i]);
+  }
+  DYNMO_CHECK(suffix[0] > 0.0, "routing gate weights sum to zero");
+  for (std::size_t i = 0; i < E && n > 0; ++i) {
+    if (i == skip) continue;
+    const auto x = static_cast<std::size_t>(rng.binomial(n, w[i] / suffix[i]));
+    out[i] += x;
+    n -= x;
+  }
+}
+
+}  // namespace
+
 const char* to_string(MoeRouting r) {
   switch (r) {
     case MoeRouting::AuxLoss: return "aux_loss";
@@ -78,51 +104,83 @@ std::vector<std::size_t> MoeEngine::route_tokens(
   const auto& desc = model_->layers[layer];
   const std::size_t E = desc.num_experts;
   const std::size_t k = std::max<std::size_t>(1, desc.top_k);
-  std::vector<std::size_t> counts(E, 0);
 
   if (cfg_.routing == MoeRouting::ExpertChoice) {
     // Experts pick equal-size token sets: perfectly balanced.
-    const std::size_t per = cfg_.tokens_per_microbatch * k / E;
-    counts.assign(E, per);
-    return counts;
+    return std::vector<std::size_t>(E, cfg_.tokens_per_microbatch * k / E);
   }
 
   Rng rng(hash_mix(cfg_.seed ^ 0xab1e, layer,
                    static_cast<std::uint64_t>(iter) * 131 +
                        static_cast<std::uint64_t>(microbatch)));
-  std::vector<double> gate = pop;
-  for (std::size_t t = 0; t < cfg_.tokens_per_microbatch; ++t) {
-    // Token-choice: draw k distinct experts by popularity-weighted gating.
-    std::size_t first = rng.categorical(gate);
-    ++counts[first];
-    for (std::size_t j = 1; j < k; ++j) {
-      std::size_t e = rng.categorical(gate);
-      while (e == first) e = rng.categorical(gate);
-      ++counts[e];
-    }
-  }
-
+  auto counts = token_choice_counts(pop, cfg_.tokens_per_microbatch, k, rng);
   if (cfg_.routing == MoeRouting::SBase) {
-    // S-BASE reassigns overflow tokens via an auction so each expert ends
-    // within one capacity unit of the mean; residual imbalance comes from
-    // rounding and the stochastic auction order.
-    const std::size_t total = cfg_.tokens_per_microbatch * k;
-    const std::size_t cap = (total + E - 1) / E;
-    std::size_t overflow = 0;
-    for (auto& c : counts) {
-      if (c > cap) {
-        overflow += c - cap;
-        c = cap;
-      }
-    }
-    for (std::size_t e = 0; overflow > 0; e = (e + 1) % E) {
-      if (counts[e] < cap) {
-        ++counts[e];
-        --overflow;
-      }
+    sbase_balance(counts, cfg_.tokens_per_microbatch * k);
+  }
+  return counts;
+}
+
+std::vector<std::size_t> MoeEngine::token_choice_counts(
+    std::span<const double> gate, std::size_t tokens, std::size_t top_k,
+    Rng& rng) {
+  const std::size_t E = gate.size();
+  DYNMO_CHECK(E > 0, "token-choice routing over no experts");
+  DYNMO_CHECK(E >= 2 || top_k <= 1,
+              "top-" << top_k << " routing needs at least two experts");
+  std::vector<double> suffix;
+  std::vector<std::size_t> first(E, 0);
+  add_multinomial(rng, tokens, gate, E, suffix, first);
+  std::vector<std::size_t> counts = first;
+  for (std::size_t f = 0; top_k > 1 && f < E; ++f) {
+    if (first[f] > 0) {
+      add_multinomial(rng, (top_k - 1) * first[f], gate, f, suffix, counts);
     }
   }
   return counts;
+}
+
+void MoeEngine::sbase_balance(std::vector<std::size_t>& counts,
+                              std::size_t total) {
+  // S-BASE reassigns overflow tokens via an auction so each expert ends
+  // within one capacity unit of the mean; residual imbalance comes from
+  // rounding and the auction order.  The auction hands the overflow out
+  // one token at a time, sweeping experts 0..E−1 round-robin and skipping
+  // full ones.  In closed form: after R full sweeps expert e has received
+  // min(room_e, R); take the most sweeps the overflow covers, then give
+  // the remainder to the first experts, in index order, with room left.
+  const std::size_t E = counts.size();
+  const std::size_t cap = (total + E - 1) / E;
+  std::size_t overflow = 0;
+  std::vector<std::size_t> room(E);
+  for (std::size_t e = 0; e < E; ++e) {
+    if (counts[e] > cap) {
+      overflow += counts[e] - cap;
+      counts[e] = cap;
+    }
+    room[e] = cap - counts[e];
+  }
+  const auto served = [&](std::size_t sweeps) {
+    std::size_t n = 0;
+    for (std::size_t r : room) n += std::min(r, sweeps);
+    return n;
+  };
+  std::size_t sweeps = 0, hi = cap;  // served(cap) = Σ room ≥ overflow
+  while (sweeps < hi) {
+    const std::size_t mid = sweeps + (hi - sweeps + 1) / 2;
+    if (served(mid) <= overflow) {
+      sweeps = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  std::size_t rest = overflow - served(sweeps);
+  for (std::size_t e = 0; e < E; ++e) {
+    counts[e] += std::min(room[e], sweeps);
+    if (rest > 0 && room[e] > sweeps) {
+      ++counts[e];
+      --rest;
+    }
+  }
 }
 
 double MoeEngine::bottleneck_factor(std::span<const std::size_t> per_expert) {

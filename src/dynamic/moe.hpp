@@ -11,8 +11,13 @@
 //                  loads up to capacity rounding (small residual imbalance).
 //   ExpertChoice — experts pick their top tokens: perfectly balanced by
 //                  construction (used by the MoD engine's underlying MoE).
+// Token-choice routing (AuxLoss, SBase) is drawn at count level — one
+// multinomial per first expert, O(E²) binomials per (layer, microbatch),
+// independent of the token count; see token_choice_counts() for the law
+// and docs/COST_MODEL.md#moe-routing for the equivalence contract.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -55,9 +60,37 @@ class MoeEngine final : public DynamismEngine {
   std::int64_t recommended_rebalance_interval() const override { return 1; }
 
   /// Per-expert token histogram for one (layer, microbatch) routing draw —
-  /// exposed for tests and the imbalance characterization bench.
+  /// exposed for tests and the imbalance characterization bench.  The
+  /// draw is seeded from (seed, layer, iter, microbatch) alone, so it
+  /// never depends on call order.
   std::vector<std::size_t> route_tokens(std::size_t layer, std::int64_t iter,
                                         int microbatch) const;
+
+  /// The gate weights (unnormalised) a layer routes with at `iter`.
+  std::vector<double> expert_popularity(std::size_t layer,
+                                        std::int64_t iter) const;
+
+  /// Token-choice routing of `tokens` tokens with top-`top_k` gating, as
+  /// per-expert counts.  The law sampled, per token independently:
+  ///   - the first pick f is drawn from the gate;
+  ///   - each of the top_k − 1 later picks is drawn from the gate with f
+  ///     removed — later picks avoid f but may repeat each other, so for
+  ///     top_k > 2 they are not pairwise distinct.
+  /// Drawn at count level in O(E²) binomials, independent of `tokens`:
+  /// first-pick counts n ~ Multinomial(tokens, gate), then for each f
+  /// with n_f > 0, Multinomial((top_k − 1)·n_f, gate without f).  Summed
+  /// over tokens this is exactly the per-token law; the token loop is kept
+  /// as the test oracle in tests/moe_token_loop.hpp.
+  static std::vector<std::size_t> token_choice_counts(
+      std::span<const double> gate, std::size_t tokens, std::size_t top_k,
+      Rng& rng);
+
+  /// S-BASE auction on a histogram of `total` routed tokens: overflow
+  /// above capacity ceil(total / E) is handed out one token at a time,
+  /// round-robin from expert 0, to experts below capacity.  Computed in
+  /// closed form, O(E·log(capacity)).
+  static void sbase_balance(std::vector<std::size_t>& counts,
+                            std::size_t total);
 
   /// Bottleneck factor max_e(tokens_e) / mean_e(tokens_e) for a histogram.
   static double bottleneck_factor(std::span<const std::size_t> per_expert);
@@ -68,8 +101,6 @@ class MoeEngine final : public DynamismEngine {
   std::vector<std::size_t> route_tokens(std::size_t layer, std::int64_t iter,
                                         int microbatch,
                                         const std::vector<double>& pop) const;
-  std::vector<double> expert_popularity(std::size_t layer,
-                                        std::int64_t iter) const;
 
   const model::ModelDesc* model_;
   MoeEngineConfig cfg_;

@@ -97,6 +97,111 @@ TEST(Rng, CategoricalThrowsOnAllZero) {
   EXPECT_THROW((void)rng.categorical(w), Error);
 }
 
+// ---------------------------------------------------------------- binomial
+
+TEST(RngBinomial, EdgeCases) {
+  Rng rng(40);
+  EXPECT_EQ(rng.binomial(0, 0.3), 0u);
+  EXPECT_EQ(rng.binomial(0, 1.0), 0u);
+  EXPECT_EQ(rng.binomial(1000, 0.0), 0u);
+  EXPECT_EQ(rng.binomial(1000, 1.0), 1000u);
+  for (int i = 0; i < 1000; ++i) EXPECT_LE(rng.binomial(3, 0.5), 3u);
+}
+
+TEST(RngBinomial, HighPIsMirrorOfLowP) {
+  // p > 0.5 draws the failures at 1 − p: the same stream, mirrored.
+  for (std::uint64_t n : {7u, 60u, 5000u}) {
+    for (double p : {0.55, 0.7, 0.93}) {
+      Rng hi(41), lo(41);
+      for (int i = 0; i < 200; ++i) {
+        EXPECT_EQ(hi.binomial(n, p), n - lo.binomial(n, 1.0 - p));
+      }
+    }
+  }
+}
+
+TEST(RngBinomial, InvalidProbabilityThrows) {
+  Rng rng(42);
+  EXPECT_THROW((void)rng.binomial(10, std::nan("")), Error);
+  EXPECT_THROW((void)rng.binomial(10, -0.1), Error);
+  EXPECT_THROW((void)rng.binomial(10, 1.5), Error);
+  EXPECT_THROW((void)rng.binomial(0, std::nan("")), Error);
+}
+
+/// Draws `samples` Binomial(n, p) variates and checks them against the
+/// exact law: mean and variance by z-score (|z| < 5), and a chi-square
+/// goodness-of-fit against the pmf at alpha = 1e-4.
+void check_binomial_law(std::uint64_t n, double p, std::uint64_t seed,
+                        int samples) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p));
+  Rng rng(seed);
+  std::vector<double> hist(n + 1, 0.0);
+  double sum = 0.0, sum_sq = 0.0;
+  for (int i = 0; i < samples; ++i) {
+    const auto x = rng.binomial(n, p);
+    ASSERT_LE(x, n);
+    hist[x] += 1.0;
+    const double xd = static_cast<double>(x);
+    sum += xd;
+    sum_sq += xd * xd;
+  }
+  const double N = samples;
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - p;
+  const double mu = nd * p;
+  const double var = nd * p * q;
+  const double mean = sum / N;
+  const double s2 = (sum_sq - N * mean * mean) / (N - 1.0);
+  EXPECT_LT(std::fabs(mean - mu) / std::sqrt(var / N), 5.0);
+  // Var(s²) ≈ (μ4 − σ⁴)/N with the binomial's μ4 = npq(1 + 3pq(n − 2)).
+  const double mu4 = var * (1.0 + 3.0 * p * q * (nd - 2.0));
+  EXPECT_LT(std::fabs(s2 - var) / std::sqrt((mu4 - var * var) / N), 5.0);
+
+  // Chi-square over bins of consecutive k, each grown until its expected
+  // count reaches 5; a short remainder joins the last bin.
+  std::vector<double> expected, observed;
+  double e_acc = 0.0, o_acc = 0.0;
+  for (std::uint64_t k = 0; k <= n; ++k) {
+    const double kd = static_cast<double>(k);
+    e_acc += N * std::exp(std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+                          std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+                          (nd - kd) * std::log(q));
+    o_acc += hist[k];
+    if (e_acc >= 5.0) {
+      expected.push_back(e_acc);
+      observed.push_back(o_acc);
+      e_acc = o_acc = 0.0;
+    }
+  }
+  ASSERT_GE(expected.size(), 3u);
+  expected.back() += e_acc;
+  observed.back() += o_acc;
+  double chi2 = 0.0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const double d = observed[i] - expected[i];
+    chi2 += d * d / expected[i];
+  }
+  // Wilson–Hilferty upper quantile of chi-square(df) at alpha = 1e-4.
+  const double df = static_cast<double>(expected.size() - 1);
+  const double z = 3.719;
+  const double t = 1.0 - 2.0 / (9.0 * df) + z * std::sqrt(2.0 / (9.0 * df));
+  EXPECT_LT(chi2, df * t * t * t) << "bins=" << expected.size();
+}
+
+TEST(RngBinomial, InversionRegimeMatchesPmf) {
+  check_binomial_law(40, 0.1, 43, 400000);      // mean 4
+  check_binomial_law(19, 0.5, 44, 400000);      // mean 9.5, largest p
+  check_binomial_law(30, 0.9, 50, 400000);      // mirrored to p = 0.1
+  check_binomial_law(3000, 0.001, 45, 400000);  // mean 3, long support
+}
+
+TEST(RngBinomial, BtrsRegimeMatchesPmf) {
+  check_binomial_law(100, 0.1, 46, 400000);  // mean 10: BTRS threshold
+  check_binomial_law(1000, 0.3, 47, 400000);
+  check_binomial_law(200, 0.8, 48, 400000);  // mirrored to p = 0.2
+  check_binomial_law(4096, 0.5, 49, 400000);
+}
+
 TEST(RunningStats, MatchesBatch) {
   Rng rng(17);
   RunningStats st;
