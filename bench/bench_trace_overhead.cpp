@@ -16,8 +16,10 @@
 // inspection (default: a throwaway under /tmp).
 #include <chrono>
 #include <cstring>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "core/stats.hpp"
 #include "telemetry/trace_reader.hpp"
 
 namespace {
@@ -68,17 +70,32 @@ int main(int argc, char** argv) {
               static_cast<long long>(opt.session.sim_stride),
               smoke ? " (smoke)" : "");
 
-  // Min-of-N wall clock per arm: the simulation dominates, the min strips
-  // scheduler noise.
-  const int reps = smoke ? 2 : 3;
+  // Interleaved off/on pairs, alternating which arm runs first.  A shared
+  // VM drifts in speed by ~10% over a few seconds, far more than
+  // telemetry costs, so min-of-N over each arm is noise-limited.
+  // Within one pair both arms see nearly the same speed; the overhead is
+  // the median of the per-pair on/off wall ratios, which also drops the
+  // pairs that straddle a speed change.
+  const int pairs = smoke ? 15 : 9;
   runtime::SessionResult off{}, on{};
-  double wall_off = 1e300, wall_on = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    auto o = opt;
-    wall_off = std::min(wall_off, run_timed(model, o, &off));
-    o.session.telemetry.dir = dir;
-    wall_on = std::min(wall_on, run_timed(model, o, &on));
+  std::vector<double> walls_off, walls_on, ratios;
+  for (int r = 0; r < pairs; ++r) {
+    auto traced = opt;
+    traced.session.telemetry.dir = dir;
+    double w_off = 0.0, w_on = 0.0;
+    if (r % 2 == 0) {
+      w_off = run_timed(model, opt, &off);
+      w_on = run_timed(model, traced, &on);
+    } else {
+      w_on = run_timed(model, traced, &on);
+      w_off = run_timed(model, opt, &off);
+    }
+    walls_off.push_back(w_off);
+    walls_on.push_back(w_on);
+    ratios.push_back(w_on / w_off);
   }
+  const double wall_off = percentile_of(walls_off, 50.0);
+  const double wall_on = percentile_of(walls_on, 50.0);
 
   // (a) Pure observation: the modeled ledger is identical either way.
   //     (Time totals carry the *measured* decide wall-clock and jitter
@@ -94,14 +111,15 @@ int main(int argc, char** argv) {
       off.final_map.boundaries() == on.final_map.boundaries();
 
   // (b) Recording cost: the telemetry-on run's extra wall-clock.
-  const double overhead = wall_on / wall_off - 1.0;
+  const double overhead = percentile_of(ratios, 50.0) - 1.0;
   const bool under_5pct = overhead < 0.05;
 
   telemetry::TraceReader reader(dir);
   std::int64_t trace_rows = 0;
   for (const auto& t : reader.catalog().tables) trace_rows += t.rows;
 
-  std::printf("%-16s %12s %14s\n", "configuration", "tokens/s", "wall [s]");
+  std::printf("%-16s %12s %14s   (median of %d pairs)\n", "configuration",
+              "tokens/s", "wall [s]", pairs);
   std::printf("%-16s %12.0f %14.3f\n", "telemetry off", off.tokens_per_sec,
               wall_off);
   std::printf("%-16s %12.0f %14.3f\n", "telemetry on", on.tokens_per_sec,
