@@ -124,7 +124,6 @@ std::vector<std::size_t> MoeEngine::token_choice_counts(
     std::span<const double> gate, std::size_t tokens, std::size_t top_k,
     Rng& rng) {
   const std::size_t E = gate.size();
-  DYNMO_CHECK(E > 0, "token-choice routing over no experts");
   DYNMO_CHECK(E >= 2 || top_k <= 1,
               "top-" << top_k << " routing needs at least two experts");
   std::vector<double> suffix;
