@@ -3,6 +3,8 @@
 //
 //   golden_trace_gen --scenario session        --out DIR [--decision-path P]
 //   golden_trace_gen --scenario large_grid     --out DIR [--decision-path P]
+//   golden_trace_gen --scenario lifecycle_elastic --out DIR [--decision-path P]
+//   golden_trace_gen --scenario lifecycle_repack  --out DIR [--decision-path P]
 //   golden_trace_gen --scenario threaded_fault --out DIR [--transport T]
 //
 // `session` is the small modeled session from the telemetry tests (8
@@ -26,6 +28,14 @@
 // session-level proof that the incremental surface changes no decision
 // (docs/COST_MODEL.md "Incremental recomputation").
 //
+// `lifecycle_elastic` and `lifecycle_repack` pin the session's restart
+// and re-pack paths, which the other session goldens never reach: the
+// first drives the stepping API through a forced shrink ("preempt"),
+// voluntary expands, a straggler onset and recovery, periodic checkpoints
+// and a worker loss; the second records payoff-rejected and accepted
+// re-packs.  Both record stage totals only (per_layer off) to keep the
+// goldens small.
+//
 // For threaded_fault the tool also runs the fault-free twin of the same
 // seed in memory and refuses (exit 2) to emit a golden whose recovery
 // checksums disagree with it — a golden that violates the paper's
@@ -44,7 +54,8 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --scenario session|large_grid|threaded_fault "
+               "usage: %s --scenario session|large_grid|lifecycle_elastic|"
+               "lifecycle_repack|threaded_fault "
                "--out DIR [--transport inproc|socket] "
                "[--decision-path incremental|rescan]\n",
                argv0);
@@ -111,6 +122,90 @@ void run_large_grid(const std::string& out, bool incremental) {
               static_cast<std::size_t>(opt.session.iterations /
                                        opt.session.sim_stride),
               result.tokens_per_sec);
+}
+
+void run_lifecycle_elastic(const std::string& out, bool incremental) {
+  using namespace dynmo;
+  // Every checkpoint-coordinated restart path in one run: an
+  // arbiter-style forced shrink ("preempt"), voluntary elastic
+  // transitions, a worker loss rolled back to the last periodic
+  // checkpoint, and a straggler window that opens and recovers.
+  Options opt;
+  opt.session.pipeline_stages = 8;
+  opt.session.micro_batch = 2;
+  opt.session.num_microbatches = 16;
+  opt.session.iterations = 2000;
+  opt.session.sim_stride = 10;
+  opt.session.rebalance_interval = 100;
+  opt.session.mode = runtime::BalancingMode::DynMo;
+  opt.session.algorithm = balance::Algorithm::Diffusion;
+  opt.session.initial_active_workers = 6;
+  opt.session.elastic.enabled = true;
+  opt.session.elastic.interval = 200;
+  opt.session.elastic.min_workers = 2;
+  opt.session.elastic.payoff_window_iters = 600.0;
+  opt.session.checkpoint_interval_iters = 200;
+  opt.session.fault.losses = {{.iter = 1450, .worker = 3}};
+  opt.session.fault.stragglers = {
+      {.worker = 1, .multiplier = 0.5, .from_iter = 300, .until_iter = 700}};
+  opt.session.telemetry.dir = out;
+  opt.session.telemetry.deterministic = true;
+  opt.session.telemetry.per_layer = false;
+  opt.session.incremental_decisions = incremental;
+  const auto m = model::make_gpt({.num_blocks = 24,
+                                  .include_embedding = false,
+                                  .include_lm_head = false});
+  // Stepped like a fleet job: the "arbiter" preempts it down to 4 workers
+  // after 60 windows.
+  const auto engine = make_engine(UseCase::EarlyExit, m, opt);
+  runtime::TrainingSession session(m, opt.session, engine.get());
+  session.start();
+  for (int w = 0; !session.done(); ++w) {
+    if (w == 60) session.request_shrink(4);
+    (void)session.step();
+  }
+  const auto r = session.finish();
+  std::printf("lifecycle_elastic: %d forced, %d shrinks, %d expands, "
+              "%d losses, %d straggler events, tokens/s %.6g\n",
+              r.forced_shrinks, r.shrinks, r.expands, r.worker_losses,
+              r.straggler_events, r.tokens_per_sec);
+}
+
+void run_lifecycle_repack(const std::string& out, bool incremental) {
+  using namespace dynmo;
+  // Plain (non-elastic) re-packing on a 2-GPU-per-node deployment under a
+  // payoff window that refuses most packs: the trace holds payoff-rejected
+  // "repack" rows on the full and on the packed footprint, and one
+  // accepted pack with its migrations and post-pack polish.
+  Options opt;
+  opt.session.pipeline_stages = 16;
+  opt.session.num_microbatches = 32;
+  opt.session.iterations = 6000;
+  opt.session.sim_stride = 50;
+  opt.session.rebalance_interval = 100;
+  opt.session.mode = runtime::BalancingMode::DynMo;
+  opt.session.algorithm = balance::Algorithm::Diffusion;
+  opt.session.repack = true;
+  opt.session.repack_interval = 500;
+  opt.session.payoff_window_iters = 100.0;
+  opt.session.deployment = cluster::Deployment::make_topology_aware(
+      cluster::Topology::make_homogeneous(
+          8, 2, hw::GpuSpec::h100_sxm5(),
+          cluster::default_link(cluster::LinkType::NvLink),
+          cluster::default_link(cluster::LinkType::InfiniBand)),
+      16);
+  opt.session.telemetry.dir = out;
+  opt.session.telemetry.deterministic = true;
+  opt.session.telemetry.per_layer = false;
+  opt.session.incremental_decisions = incremental;
+  Session session(model::make_gpt({.num_blocks = 24,
+                                   .include_embedding = false,
+                                   .include_lm_head = false}),
+                  UseCase::EarlyExit, opt);
+  const auto r = session.run();
+  std::printf("lifecycle_repack: %d packs, %d payoff rejections, "
+              "tokens/s %.6g\n",
+              r.repack_count, r.maps_rejected_payoff, r.tokens_per_sec);
 }
 
 int run_threaded_fault(const std::string& out, dynmo::comm::TransportKind k) {
@@ -217,6 +312,14 @@ int main(int argc, char** argv) {
     }
     if (scenario == "large_grid") {
       run_large_grid(out, incremental);
+      return 0;
+    }
+    if (scenario == "lifecycle_elastic") {
+      run_lifecycle_elastic(out, incremental);
+      return 0;
+    }
+    if (scenario == "lifecycle_repack") {
+      run_lifecycle_repack(out, incremental);
       return 0;
     }
     if (scenario == "threaded_fault") {
