@@ -57,6 +57,10 @@ fleet::JobSpec make_job(const char* name, int priority, double weight,
     cfg.elastic.pod = name;
     cfg.elastic.restart_alpha_s = 0.5;
     cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
+    // The arbiter's event clock advances by each step()'s seconds; zeroing
+    // the measured decide time keeps wall-clock jitter from reordering
+    // fleet events between runs.
+    cfg.telemetry.deterministic = true;
     return std::make_unique<runtime::TrainingSession>(*model, cfg, nullptr);
   };
   return spec;
