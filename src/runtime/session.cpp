@@ -71,6 +71,13 @@ pipeline::CostBuilderConfig make_builder_config(
   return bc;
 }
 
+/// Largest stage total of a per-layer vector under `map` (0 when empty).
+double max_stage_load(const pipeline::StageMap& map,
+                      std::span<const double> per_layer) {
+  const auto loads = map.stage_loads(per_layer);
+  return loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
+}
+
 }  // namespace
 
 const char* to_string(BalancingMode m) {
@@ -182,6 +189,10 @@ TrainingSession::TrainingSession(const model::ModelDesc& model,
               "worker-loss injection recovers through the elastic shrink "
               "path; the fault plan's losses/mtbf need elastic.enabled "
               "(straggler-only plans work anywhere)");
+  layer_params_.reserve(model.num_layers());
+  for (const auto& l : model.layers) {
+    layer_params_.push_back(static_cast<double>(l.params));
+  }
   if (cfg_.data_parallel > 1) {
     const bool grid = deployment_ && deployment_->data_parallel() > 1;
     dp_groups_.reserve(static_cast<std::size_t>(cfg_.pipeline_stages));
@@ -408,20 +419,9 @@ void TrainingSession::start() {
 
   // Initial static placement (over the starting footprint — W0 < S0 only
   // under elastic, where the map grows back exactly as after a shrink).
-  switch (cfg_.mode) {
-    case BalancingMode::StaticParam: {
-      std::vector<double> params;
-      params.reserve(model_->num_layers());
-      for (const auto& l : model_->layers) {
-        params.push_back(static_cast<double>(l.params));
-      }
-      R.map = pipeline::StageMap::greedy_by_weight(params, W0);
-      break;
-    }
-    default:
-      R.map = pipeline::StageMap::uniform(model_->num_layers(), W0);
-      break;
-  }
+  R.map = cfg_.mode == BalancingMode::StaticParam
+              ? pipeline::StageMap::greedy_by_weight(layer_params_, W0)
+              : pipeline::StageMap::uniform(model_->num_layers(), W0);
   R.active = W0;
 
   R.interval = effective_rebalance_interval();
@@ -516,10 +516,7 @@ void TrainingSession::start() {
     info.gamma = rb_cfg.gamma;
     info.stage_to_rank = rb_cfg.stage_to_rank;
     info.capacities = rb_cfg.capacities;
-    info.layer_params.reserve(model_->num_layers());
-    for (const auto& l : model_->layers) {
-      info.layer_params.push_back(static_cast<double>(l.params));
-    }
+    info.layer_params = layer_params_;
     R.trace.emplace(cfg_.telemetry, std::move(info));
   }
 
@@ -590,82 +587,148 @@ void TrainingSession::request_shrink(int target_workers) {
 }
 
 TransitionQuote TrainingSession::quote_shrink(int target_workers) const {
-  DYNMO_CHECK(run_ != nullptr && run_->elastic.has_value(),
-              "quotes need a started session with elastic.enabled");
-  const auto& R = *run_;
-  TransitionQuote q;
-  q.workers_before = R.active;
-  q.workers_after = target_workers;
-  std::vector<double> iter_layer_s = builder_.layer_total_seconds(R.states);
-  for (double& x : iter_layer_s) {
-    x *= static_cast<double>(cfg_.num_microbatches);
-  }
-  const auto loads = R.map.stage_loads(iter_layer_s);
-  q.iter_s_before =
-      loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-  if (target_workers < R.elastic->min_workers() ||
-      target_workers >= R.active) {
-    return q;
-  }
-  const auto mem = builder_.layer_memory_bytes(R.states, R.map);
-  repack::ContiguousRepackRequest req;
-  req.memory_bytes = mem;
-  req.mem_capacity = R.mem_capacity;
-  req.target_workers = target_workers;
-  const auto rp = repack::repack_contiguous(req, target_workers);
-  if (!rp.feasible) return q;  // the model does not fit that tight
-  q.restart_stall_s = R.elastic->restart_stall_s(R.map, rp.map, mem);
-  q.iter_s_after = balance::PartitionBalancer::optimal_bottleneck(
-      iter_layer_s, target_workers);
-  q.feasible = true;
-  return q;
+  return quote_transition(target_workers, /*expand=*/false);
 }
 
 TransitionQuote TrainingSession::quote_expand(int target_workers) const {
+  return quote_transition(target_workers, /*expand=*/true);
+}
+
+TransitionQuote TrainingSession::quote_transition(int target_workers,
+                                                  bool expand) const {
   DYNMO_CHECK(run_ != nullptr && run_->elastic.has_value(),
               "quotes need a started session with elastic.enabled");
   const auto& R = *run_;
   TransitionQuote q;
   q.workers_before = R.active;
   q.workers_after = target_workers;
-  std::vector<double> iter_layer_s = builder_.layer_total_seconds(R.states);
-  for (double& x : iter_layer_s) {
-    x *= static_cast<double>(cfg_.num_microbatches);
-  }
-  const auto loads = R.map.stage_loads(iter_layer_s);
-  q.iter_s_before =
-      loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-  if (target_workers <= R.active ||
-      target_workers > R.elastic->max_workers()) {
-    return q;
-  }
-  // The post-restart map is the balanced partition at the grown count —
-  // exactly what reshard-on-reload produces (ElasticController::decide).
-  balance::PartitionRequest preq;
-  preq.weights.assign(iter_layer_s.begin(), iter_layer_s.end());
-  preq.num_stages = target_workers;
-  const auto balanced = balance::PartitionBalancer{}.balance(preq);
+  const auto iter_layer_s =
+      per_iteration(builder_.layer_total_seconds(R.states));
+  q.iter_s_before = max_stage_load(R.map, iter_layer_s);
+  const bool in_range =
+      expand ? target_workers > R.active &&
+                   target_workers <= R.elastic->max_workers()
+             : target_workers >= R.elastic->min_workers() &&
+                   target_workers < R.active;
+  if (!in_range) return q;
   const auto mem = builder_.layer_memory_bytes(R.states, R.map);
-  q.restart_stall_s = R.elastic->restart_stall_s(R.map, balanced.map, mem);
+  pipeline::StageMap after;
+  if (expand) {
+    // The post-restart map is the balanced partition at the grown count —
+    // exactly what reshard-on-reload produces (ElasticController::decide).
+    balance::PartitionRequest preq;
+    preq.weights.assign(iter_layer_s.begin(), iter_layer_s.end());
+    preq.num_stages = target_workers;
+    after = balance::PartitionBalancer{}.balance(preq).map;
+  } else {
+    auto rp = pack_onto(mem, target_workers);
+    if (!rp.feasible) return q;  // the model does not fit that tight
+    after = std::move(rp.map);
+  }
+  q.restart_stall_s = R.elastic->restart_stall_s(R.map, after, mem);
   q.iter_s_after = balance::PartitionBalancer::optimal_bottleneck(
       iter_layer_s, target_workers);
   q.feasible = true;
   return q;
 }
 
-void TrainingSession::execute_forced_shrink(double& event_time,
-                                            double& iter_restart_stall) {
+// --- shared restart helpers -------------------------------------------
+
+std::vector<double> TrainingSession::per_iteration(
+    std::vector<double> layer_s) const {
+  for (double& x : layer_s) x *= static_cast<double>(cfg_.num_microbatches);
+  return layer_s;
+}
+
+balance::LayerProfile TrainingSession::layer_profile(
+    std::vector<double> time_s, std::span<const double> mem) const {
+  balance::LayerProfile profile;
+  profile.time_s = std::move(time_s);
+  profile.memory_bytes.assign(mem.begin(), mem.end());
+  profile.params = layer_params_;
+  return profile;
+}
+
+repack::ContiguousRepackResult TrainingSession::pack_onto(
+    std::span<const double> mem, int target) const {
+  repack::ContiguousRepackRequest req;
+  req.memory_bytes.assign(mem.begin(), mem.end());
+  req.mem_capacity = run_->mem_capacity;
+  req.target_workers = target;
+  return repack::repack_contiguous(req, target);
+}
+
+void TrainingSession::restart_onto(const pipeline::StageMap& map,
+                                   int workers, double stall_s,
+                                   StepCharges& charges) {
+  auto& R = *run_;
+  // Checkpoint-coordinated restart (docs/RUNTIME.md): serialize the
+  // training state through the real binary format, move onto `map` over
+  // `workers`, and resume from the restored checkpoint.  Weights arrive
+  // via checkpoint reload, so no migration bytes are issued; the whole
+  // transition is charged as `stall_s` instead.
+  Checkpoint ckpt;
+  ckpt.iteration = R.iter;
+  ckpt.stage_map = R.map;
+  ckpt.layer_states.assign(R.states.begin(), R.states.end());
+  auto restored = Checkpoint::deserialize(ckpt.serialize());
+  R.map = map;
+  R.states = std::move(restored.layer_states);
+  R.active = workers;
+  charges.event_s += stall_s;
+  charges.restart_stall_s += stall_s;
+  R.res.restart_stall_s += stall_s;
+}
+
+void TrainingSession::polish(const balance::LayerProfile& profile,
+                             const char* trigger, StepCharges& charges) {
+  auto& R = *run_;
+  // Rebalance within the new footprint right away — a one-off event,
+  // accounted like any other rebalance except profiling: the profile was
+  // either charged already or is the raw, unmeasured one.
+  R.rebalancer.emplace(make_rebalancer(R.active));
+  const auto rb = run_rebalance(profile, R.map);
+  R.map = rb.map;
+  account_outcome(rb, 1.0, R.iter, trigger);
+  balance::OverheadBreakdown overhead = rb.overhead;
+  overhead.profile_s = 0.0;
+  R.res.overhead += overhead;
+  charges.event_s += overhead.total_s();
+}
+
+void TrainingSession::emit_transition(const char* kind, bool accepted,
+                                      int workers_after, double stall_s,
+                                      const RestartStall& stall,
+                                      double projected_gain_s,
+                                      double migrated_bytes) {
+  auto& R = *run_;
+  if (!R.trace) return;
+  telemetry::ElasticTransitionRow row;
+  row.iter = R.iter;
+  row.kind = kind;
+  row.accepted = accepted;
+  row.workers_before = R.active;
+  row.workers_after = workers_after;
+  row.stall_s = stall_s;
+  row.alpha_s = stall.alpha_s;
+  row.bootstrap_s = stall.bootstrap_s;
+  row.ckpt_write_s = stall.ckpt_write_s;
+  row.ckpt_read_s = stall.ckpt_read_s;
+  row.projected_gain_s = projected_gain_s;
+  row.migrated_bytes = migrated_bytes;
+  R.trace->write_elastic_transition(row);
+}
+
+// --- step() phases, in the order step() runs them ---------------------
+
+void TrainingSession::execute_forced_shrink(StepCharges& charges) {
   auto& R = *run_;
   const int target = R.pending_shrink;
   R.pending_shrink = 0;
   if (target <= 0 || !R.elastic || target >= R.active) return;
   const auto mem = builder_.layer_memory_bytes(R.states, R.map);
-  const auto layer_seconds = builder_.layer_total_seconds(R.states);
-  repack::ContiguousRepackRequest req;
-  req.memory_bytes = mem;
-  req.mem_capacity = R.mem_capacity;
-  req.target_workers = target;
-  const auto rp = repack::repack_contiguous(req, target);
+  auto layer_seconds = builder_.layer_total_seconds(R.states);
+  const auto rp = pack_onto(mem, target);
   if (!rp.feasible) {
     // quote_shrink would have said so; an arbiter that forces anyway keeps
     // the victim at its current footprint rather than OOM it.
@@ -678,75 +741,57 @@ void TrainingSession::execute_forced_shrink(double& event_time,
   d.target_workers = target;
   d.stall = R.elastic->restart_stall(R.map, rp.map, mem);
   d.restart_stall_s = d.stall.total_s();
-  {
-    const auto loads = R.map.stage_loads(layer_seconds);
-    const double bottleneck =
-        loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-    d.projected_gain_s =
-        static_cast<double>(R.active - target) * bottleneck;
-  }
+  d.projected_gain_s = static_cast<double>(R.active - target) *
+                       max_stage_load(R.map, layer_seconds);
   // Releases always succeed (ControlPlane contract) — a refusal here means
   // the arbiter and the session disagree about the claim, a real bug.
   DYNMO_CHECK(R.elastic->commit(d), "control plane refused a release");
-  if (R.trace) {
-    telemetry::ElasticTransitionRow row;
-    row.iter = R.iter;
-    row.kind = "preempt";
-    row.accepted = true;
-    row.workers_before = R.active;
-    row.workers_after = target;
-    row.stall_s = d.restart_stall_s;
-    row.alpha_s = d.stall.alpha_s;
-    row.bootstrap_s = d.stall.bootstrap_s;
-    row.ckpt_write_s = d.stall.ckpt_write_s;
-    row.ckpt_read_s = d.stall.ckpt_read_s;
-    row.projected_gain_s = d.projected_gain_s;
-    R.trace->write_elastic_transition(row);
-  }
-  // The same checkpoint-coordinated restart a voluntary shrink takes
-  // (docs/RUNTIME.md): serialize through the real binary format, re-pack
-  // onto the target count, resume from the restored state.
-  Checkpoint ckpt;
-  ckpt.iteration = R.iter;
-  ckpt.stage_map = R.map;
-  ckpt.layer_states.assign(R.states.begin(), R.states.end());
-  auto restored = Checkpoint::deserialize(ckpt.serialize());
-  R.map = rp.map;
-  R.states = std::move(restored.layer_states);
-  R.active = target;
-  event_time += d.restart_stall_s;
-  R.res.restart_stall_s += d.restart_stall_s;
-  iter_restart_stall += d.restart_stall_s;
+  emit_transition("preempt", true, target, d.restart_stall_s, d.stall,
+                  d.projected_gain_s);
+  // The same checkpoint-coordinated restart a voluntary shrink takes.
+  restart_onto(rp.map, target, d.restart_stall_s, charges);
   ++R.res.forced_shrinks;
-  R.rebalancer.emplace(make_rebalancer(R.active));
   // Polish with a *raw* profile: a preemption fires between rebalance
   // points, and drawing measurement noise here would shift the noise
   // stream every later rebalance consumes — the determinism contract
   // (docs/RUNTIME.md) forbids that.
-  balance::LayerProfile profile;
-  profile.time_s = layer_seconds;
-  profile.memory_bytes = mem;
-  profile.params.reserve(model_->num_layers());
-  for (const auto& l : model_->layers) {
-    profile.params.push_back(static_cast<double>(l.params));
-  }
-  const auto rb = run_rebalance(profile, R.map);
-  R.map = rb.map;
-  account_outcome(rb, 1.0, R.iter, "post_restart");
-  balance::OverheadBreakdown polish = rb.overhead;
-  polish.profile_s = 0.0;
-  R.res.overhead += polish;
-  event_time += polish.total_s();
+  polish(layer_profile(std::move(layer_seconds), mem), "post_restart",
+         charges);
 }
 
-void TrainingSession::execute_worker_loss(int victim, double& event_time,
-                                          double& iter_restart_stall) {
+bool TrainingSession::poll_faults(StepCharges& charges) {
+  auto& R = *run_;
+  const std::vector<bool> alive(static_cast<std::size_t>(R.active), true);
+  const auto events = R.injector->poll(
+      static_cast<int>(R.iter + cfg_.sim_stride - 1), alive);
+  for (const auto& e : events) {
+    if (e.kind == fault::EventKind::WorkerLoss) {
+      execute_worker_loss(e.worker, charges);
+      if (R.failed) return false;
+      continue;
+    }
+    ++R.res.straggler_events;
+    if (R.trace) {
+      telemetry::FaultEventRow row;
+      row.iter = R.iter;
+      row.kind = fault::to_string(e.kind);
+      row.worker = e.worker;
+      row.multiplier = e.multiplier;
+      row.workers_before = R.active;
+      row.workers_after = R.active;
+      R.trace->write_fault_event(row);
+    }
+  }
+  return true;
+}
+
+void TrainingSession::execute_worker_loss(int victim, StepCharges& charges) {
   auto& R = *run_;
   auto& res = R.res;
   const std::int64_t iter = R.iter;
   const int target = R.active - 1;
   const auto mem = builder_.layer_memory_bytes(R.states, R.map);
-  const auto layer_seconds = builder_.layer_total_seconds(R.states);
+  auto layer_seconds = builder_.layer_total_seconds(R.states);
   const double lost_work = R.since_ckpt_s;
   const std::int64_t lost_iters = iter - R.last_ckpt_iter;
 
@@ -769,11 +814,7 @@ void TrainingSession::execute_worker_loss(int victim, double& event_time,
     R.trace->write_fault_event(row);
   };
 
-  repack::ContiguousRepackRequest req;
-  req.memory_bytes = mem;
-  req.mem_capacity = R.mem_capacity;
-  req.target_workers = std::max(target, 1);
-  const auto rp = repack::repack_contiguous(req, std::max(target, 1));
+  const auto rp = pack_onto(mem, std::max(target, 1));
   if (target < 1 || !R.elastic || target < R.elastic->min_workers() ||
       !rp.feasible) {
     // Unrecoverable: the survivors cannot absorb the model (or none
@@ -808,39 +849,16 @@ void TrainingSession::execute_worker_loss(int victim, double& event_time,
   // The simulated clock prices the redo without rewinding the iteration
   // counter: the dynamism trajectory is deterministic, so re-running
   // [last_ckpt, iter) reproduces the states the session already holds.
-  Checkpoint ckpt;
-  ckpt.iteration = iter;
-  ckpt.stage_map = R.map;
-  ckpt.layer_states.assign(R.states.begin(), R.states.end());
-  auto restored = Checkpoint::deserialize(ckpt.serialize());
-  R.map = rp.map;
-  R.states = std::move(restored.layer_states);
-  R.active = target;
-  event_time += total;
-  res.restart_stall_s += total;
-  iter_restart_stall += total;
+  restart_onto(rp.map, target, total, charges);
   res.lost_work_s += lost_work;
   ++res.worker_losses;
   // The restart writes a fresh checkpoint as part of its stall.
   R.last_ckpt_iter = iter;
   R.since_ckpt_s = 0.0;
-  R.rebalancer.emplace(make_rebalancer(R.active));
   // Raw-profile polish, exactly like a forced shrink: a loss fires
   // between rebalance points and must not shift the noise stream.
-  balance::LayerProfile profile;
-  profile.time_s = layer_seconds;
-  profile.memory_bytes = mem;
-  profile.params.reserve(model_->num_layers());
-  for (const auto& l : model_->layers) {
-    profile.params.push_back(static_cast<double>(l.params));
-  }
-  const auto rb = run_rebalance(profile, R.map);
-  R.map = rb.map;
-  account_outcome(rb, 1.0, iter, "post_restart");
-  balance::OverheadBreakdown polish = rb.overhead;
-  polish.profile_s = 0.0;
-  res.overhead += polish;
-  event_time += polish.total_s();
+  polish(layer_profile(std::move(layer_seconds), mem), "post_restart",
+         charges);
 }
 
 void TrainingSession::refresh_capacities(std::int64_t iter) {
@@ -866,373 +884,190 @@ void TrainingSession::refresh_capacities(std::int64_t iter) {
   R.rebalancer.emplace(make_rebalancer(R.active));
 }
 
-double TrainingSession::checkpoint_write_seconds(
-    const pipeline::StageMap& map, std::span<const double> state_bytes) const {
+void TrainingSession::periodic_checkpoint(std::span<const double> mem,
+                                          StepCharges& charges) {
+  auto& R = *run_;
+  const std::int64_t iter = R.iter;
+  // Cut one at every cadence point; skipped when a restart already left a
+  // fresh checkpoint at this very iteration.
+  if (cfg_.checkpoint_interval_iters <= 0 || iter == 0 ||
+      iter % cfg_.checkpoint_interval_iters != 0 || iter <= R.last_ckpt_iter) {
+    return;
+  }
   // Every worker writes its shard in parallel; the busiest gates — the
   // same rule ElasticController::restart_stall prices, at the same
   // bandwidth knob (meaningful with or without elastic.enabled).
-  const auto loads = map.stage_loads(state_bytes);
-  const double busiest =
-      loads.empty() ? 0.0 : *std::max_element(loads.begin(), loads.end());
-  return busiest / cfg_.elastic.checkpoint_bw;
+  const double write_s =
+      max_stage_load(R.map, mem) / cfg_.elastic.checkpoint_bw;
+  charges.event_s += write_s;
+  R.res.checkpoint_write_s += write_s;
+  ++R.res.checkpoints_written;
+  R.last_ckpt_iter = iter;
+  R.since_ckpt_s = 0.0;
 }
 
-double TrainingSession::step() {
-  DYNMO_CHECK(run_ != nullptr, "step() before start()");
-  DYNMO_CHECK(!done(), "step() past the configured iterations");
+void TrainingSession::periodic_rebalance(const balance::LayerProfile& profile,
+                                         StepCharges& charges) {
   auto& R = *run_;
-  const int S0 = cfg_.pipeline_stages;
-  const std::int64_t iter = R.iter;
-  auto& states = R.states;
-  auto& map = R.map;
-  auto& res = R.res;
-
-  // Per-real-iteration compute time (repeated sim_stride times) vs.
-  // one-off event time (rebalance decisions, migrations) — the latter is
-  // charged per *event*, scaled by how many events the stride window
-  // covers.
-  double iter_time = 0.0;
-  double event_time = 0.0;
-  double iter_restart_stall = 0.0;
-
-  // An arbiter-forced shrink executes before the window's dynamism step,
-  // on the state the quote priced.
-  if (R.pending_shrink > 0) {
-    execute_forced_shrink(event_time, iter_restart_stall);
-  }
-
-  // Injected faults fire at the window boundary, on the state the last
-  // checkpoint could have captured (docs/FAULT.md).
-  if (R.injector) {
-    std::vector<bool> alive(static_cast<std::size_t>(R.active), true);
-    const auto events = R.injector->poll(
-        static_cast<int>(iter + cfg_.sim_stride - 1), alive);
-    for (const auto& e : events) {
-      if (e.kind == fault::EventKind::WorkerLoss) {
-        execute_worker_loss(e.worker, event_time, iter_restart_stall);
-        if (R.failed) break;
-        alive.assign(static_cast<std::size_t>(R.active), true);
-      } else {
-        ++res.straggler_events;
-        if (R.trace) {
-          telemetry::FaultEventRow row;
-          row.iter = iter;
-          row.kind = fault::to_string(e.kind);
-          row.worker = e.worker;
-          row.multiplier = e.multiplier;
-          row.workers_before = R.active;
-          row.workers_after = R.active;
-          R.trace->write_fault_event(row);
-        }
-      }
-    }
-    if (R.failed) {
-      // The run ends mid-window: account what the window charged (the
-      // fatal event itself charges nothing) and stop stepping.
-      res.total_time_s += event_time;
-      return event_time;
-    }
-  }
-
-  if (engine_ != nullptr) engine_->step(iter, states);
-  if (cfg_.mode == BalancingMode::Tutel) apply_tutel_mitigation(states);
-
-  const auto mb_scale =
-      engine_ != nullptr ? engine_->microbatch_scale(iter)
-                         : pipeline::MicrobatchScaleFn{};
-
+  // One-off event time is charged per *event*, scaled by how many events
+  // the stride window covers.
   const double events_per_window =
       (R.interval > 0 && R.interval <= cfg_.sim_stride)
           ? static_cast<double>(cfg_.sim_stride) /
                 static_cast<double>(R.interval)
           : 1.0;
-
-  const auto mem = builder_.layer_memory_bytes(states, map);
-
-  // Periodic checkpoint (docs/FAULT.md): cut one at every cadence point
-  // and charge the busiest shard's write.  Skipped when a restart already
-  // left a fresh checkpoint at this very iteration.
-  if (cfg_.checkpoint_interval_iters > 0 && iter > 0 &&
-      iter % cfg_.checkpoint_interval_iters == 0 && iter > R.last_ckpt_iter) {
-    const double write_s = checkpoint_write_seconds(map, mem);
-    event_time += write_s;
-    res.checkpoint_write_s += write_s;
-    ++res.checkpoints_written;
-    R.last_ckpt_iter = iter;
-    R.since_ckpt_s = 0.0;
+  const auto outcome = run_rebalance(profile, R.map);
+  R.map = outcome.map;
+  account_outcome(outcome, events_per_window, R.iter, "periodic");
+  balance::OverheadBreakdown scaled = outcome.overhead;
+  // Every-iteration rebalancing couples migration with backprop; only
+  // the non-overlapped remainder is exposed.
+  if (R.interval == 1) {
+    scaled.migrate_s *= 1.0 - std::clamp(cfg_.migration_overlap, 0.0, 1.0);
   }
+  scaled.profile_s *= events_per_window;
+  scaled.decide_s *= events_per_window;
+  scaled.migrate_s *= events_per_window;
+  R.res.overhead += scaled;
+  charges.event_s += scaled.total_s();
+  ++R.res.rebalance_count;
+}
 
-  const bool rebalance_point = cfg_.mode == BalancingMode::DynMo &&
-                               R.interval > 0 && iter % R.interval == 0;
-  // Raw (pre-noise) per-layer fwd+bwd seconds: the profile's time loads
-  // at rebalance points, and what the stage_loads table records — replay
-  // re-derives the measurement noise from the seed, so recording the raw
-  // values keeps the trace exact.
-  std::vector<double> layer_seconds;
-  if (R.trace || rebalance_point) {
-    layer_seconds = builder_.layer_total_seconds(states);
-  }
-
-  // --- DynMo: rebalance / re-pack --------------------------------------
-  // Rebalancing happens *inside* the iteration: for every-iteration
-  // cadences (MoE / MoD / sparse attention) the forward pass measures the
-  // routing loads and the backward pass migrates layers accordingly
-  // (§3.3.1), so the new map takes effect for the very loads that were
-  // measured.  For slow cadences (pruning / freezing / early exit) this
-  // merely skips the single imbalanced profiling iteration, which is
-  // negligible at those intervals.
-  // Stragglers enter the decision path here: the rebalance point sees the
-  // degraded capacities, so diffusion/partition route load away from the
-  // slow stage — and back when it recovers (the payoff gate keeps the
-  // return migration from thrashing).
-  if (rebalance_point && R.injector && R.injector->any_degradation()) {
-    refresh_capacities(iter);
-  }
-
-  if (rebalance_point) {
-    balance::LayerProfile profile;
-    profile.time_s = layer_seconds;
-    profile.memory_bytes = mem;
-    profile.params.reserve(model_->num_layers());
-    for (const auto& l : model_->layers) {
-      profile.params.push_back(static_cast<double>(l.params));
-    }
-    balance::add_measurement_noise(profile, R.noise_rng);
-
-    const auto outcome = run_rebalance(profile, map);
-    map = outcome.map;
-    account_outcome(outcome, events_per_window, iter, "periodic");
-    balance::OverheadBreakdown scaled = outcome.overhead;
-    // Every-iteration rebalancing couples migration with backprop; only
-    // the non-overlapped remainder is exposed.
-    if (R.interval == 1) {
-      scaled.migrate_s *=
-          1.0 - std::clamp(cfg_.migration_overlap, 0.0, 1.0);
-    }
-    scaled.profile_s *= events_per_window;
-    scaled.decide_s *= events_per_window;
-    scaled.migrate_s *= events_per_window;
-    res.overhead += scaled;
-    event_time += scaled.total_s();
-    ++res.rebalance_count;
-
-    if (cfg_.repack && iter > 0 && iter % cfg_.repack_interval == 0) {
-      int target = cfg_.repack_target_workers;
-      if (target <= 0 &&
-          cfg_.repack_policy ==
-              SessionConfig::RepackPolicy::ThroughputPreserving) {
-        // Release workers only while the *optimal contiguous bottleneck*
-        // at the reduced count stays within tolerance of what the full
-        // worker count could achieve on today's loads.  The reference is
-        // recomputed from the current profile but always at the original
-        // stage count, so repeated re-packs cannot ratchet the pipeline
-        // slower and slower.
-        constexpr double kTolerance = 1.05;
-        const double ref_bottleneck =
-            balance::PartitionBalancer::optimal_bottleneck(profile.time_s,
-                                                           S0);
-        target = R.active;
-        for (int a = 1; a <= R.active; ++a) {
-          if (balance::PartitionBalancer::optimal_bottleneck(
-                  profile.time_s, a) <= ref_bottleneck * kTolerance) {
-            target = a;
-            break;
-          }
-        }
-        // Policy-derived target on a deployment: release whole nodes —
-        // snap up to the next node boundary (keeping extra workers can
-        // only help the bottleneck) unless that cancels the release.
-        if (deployment_) {
-          int snapped = target;
-          while (snapped < R.active &&
-                 deployment_->node(snapped) ==
-                     deployment_->node(snapped - 1)) {
-            ++snapped;
-          }
-          if (snapped < R.active) target = snapped;
-        }
-      }
-      repack::ContiguousRepackRequest req;
-      req.memory_bytes = mem;
-      req.mem_capacity = R.mem_capacity;
-      req.target_workers = target;
-      // Deployment-aware packing prefers vacating whole nodes.
-      const auto rp = deployment_
-                          ? repack::repack_contiguous(req, R.active,
-                                                      *deployment_)
-                          : repack::repack_contiguous(req, R.active);
-      if (!rp.feasible && cfg_.repack_target_workers > 0) {
-        res.oom = true;  // forced pack does not fit (Fig. 4 OOM cells)
-      } else if (rp.feasible && rp.active_workers < R.active) {
-        // Adopt the consolidated map: trailing stages become empty and
-        // their workers are released; the pipeline continues on a
-        // compacted map over the survivors.
-        std::vector<std::size_t> b(
-            rp.map.boundaries().begin(),
-            rp.map.boundaries().begin() + rp.active_workers + 1);
-        const auto packed = pipeline::StageMap::from_boundaries(b);
-        const auto migration = balance::plan_migration(map, packed, mem);
-        const double migrate_s =
-            R.rb_cfg.stage_to_rank.empty()
-                ? migration.estimated_time_s(net_)
-                : migration.estimated_time_s(net_, R.rb_cfg.stage_to_rank);
-        // Payoff gate for packing: the transfer stalls all `active`
-        // workers for migrate_s once, and its payoff is the GPU-time of
-        // the released workers — one bottleneck-iteration per window
-        // iteration each.  A pack that cannot amortize within the window
-        // is skipped (and retried at the next repack point, when the
-        // model may have shrunk further).
-        bool pack_pays_off = true;
-        if (cfg_.payoff_window_iters > 0.0) {
-          const auto loads = map.stage_loads(profile.time_s);
-          const double bottleneck_s =
-              *std::max_element(loads.begin(), loads.end());
-          const double freed =
-              static_cast<double>(R.active - rp.active_workers);
-          if (freed * bottleneck_s * cfg_.payoff_window_iters <
-              migrate_s * static_cast<double>(R.active)) {
-            pack_pays_off = false;
-            ++res.maps_rejected_payoff;
-            res.migration_bytes_avoided +=
-                migration.total_bytes() * R.replica_mirror;
-            if (R.trace) {
-              telemetry::ElasticTransitionRow row;
-              row.iter = iter;
-              row.kind = "repack";
-              row.accepted = false;
-              row.workers_before = R.active;
-              row.workers_after = rp.active_workers;
-              row.stall_s = migrate_s;
-              row.projected_gain_s = freed * bottleneck_s;
-              row.migrated_bytes = migration.total_bytes();
-              R.trace->write_elastic_transition(row);
-            }
-          }
-        }
-        if (pack_pays_off) {
-          record_migration_split(migration, 1.0);
-          if (R.trace) {
-            telemetry::ElasticTransitionRow row;
-            row.iter = iter;
-            row.kind = "repack";
-            row.accepted = true;
-            row.workers_before = R.active;
-            row.workers_after = rp.active_workers;
-            row.stall_s = migrate_s;
-            const auto loads = map.stage_loads(profile.time_s);
-            row.projected_gain_s =
-                static_cast<double>(R.active - rp.active_workers) *
-                *std::max_element(loads.begin(), loads.end());
-            row.migrated_bytes = migration.total_bytes();
-            R.trace->write_elastic_transition(row);
-            emit_migration_rows(iter, "repack", migration);
-          }
-          event_time += migrate_s;
-          res.overhead.migrate_s += migrate_s;
-          map = packed;
-          R.active = rp.active_workers;
-          ++res.repack_count;
-          R.rebalancer.emplace(make_rebalancer(R.active));
-          // Rebalance within the survivors right away (a one-off event,
-          // accounted like any other rebalance, except profiling: the
-          // polish reuses the profile already charged above).
-          const auto rb = run_rebalance(profile, map);
-          map = rb.map;
-          account_outcome(rb, 1.0, iter, "post_pack");
-          balance::OverheadBreakdown polish = rb.overhead;
-          polish.profile_s = 0.0;
-          res.overhead += polish;
-          event_time += polish.total_s();
-        }
+void TrainingSession::try_repack(const balance::LayerProfile& profile,
+                                 std::span<const double> mem,
+                                 StepCharges& charges) {
+  auto& R = *run_;
+  auto& res = R.res;
+  int target = cfg_.repack_target_workers;
+  if (target <= 0 &&
+      cfg_.repack_policy == SessionConfig::RepackPolicy::ThroughputPreserving) {
+    // Release workers only while the *optimal contiguous bottleneck* at
+    // the reduced count stays within tolerance of what the full worker
+    // count could achieve on today's loads.  The reference is recomputed
+    // from the current profile but always at the original stage count, so
+    // repeated re-packs cannot ratchet the pipeline slower and slower.
+    constexpr double kTolerance = 1.05;
+    const double ref_bottleneck =
+        balance::PartitionBalancer::optimal_bottleneck(profile.time_s,
+                                                       cfg_.pipeline_stages);
+    target = R.active;
+    for (int a = 1; a <= R.active; ++a) {
+      if (balance::PartitionBalancer::optimal_bottleneck(profile.time_s, a) <=
+          ref_bottleneck * kTolerance) {
+        target = a;
+        break;
       }
     }
-
-    // --- elastic lifecycle: shrink / hold / expand ---------------------
-    if (R.elastic && iter > 0 && iter % cfg_.elastic.interval == 0) {
-      // The restart stall is wall-clock seconds, so the gain side of the
-      // payoff inequality must be per-*iteration* seconds: a stage
-      // processes every microbatch, while profile.time_s is the
-      // balancers' per-microbatch currency.
-      std::vector<double> iter_layer_s(profile.time_s);
-      for (double& x : iter_layer_s) {
-        x *= static_cast<double>(cfg_.num_microbatches);
+    // Policy-derived target on a deployment: release whole nodes — snap
+    // up to the next node boundary (keeping extra workers can only help
+    // the bottleneck) unless that cancels the release.
+    if (deployment_) {
+      int snapped = target;
+      while (snapped < R.active &&
+             deployment_->node(snapped) == deployment_->node(snapped - 1)) {
+        ++snapped;
       }
-      const auto d = R.elastic->decide(map, iter_layer_s, mem,
-                                       R.mem_capacity, R.active);
-      const auto emit_elastic_row = [&](bool accepted) {
-        if (!R.trace) return;
-        telemetry::ElasticTransitionRow row;
-        row.iter = iter;
-        // A payoff-rejected decision keeps action == Hold; the wanted
-        // direction is recoverable from the target.
-        row.kind = d.action != ElasticAction::Hold
-                       ? to_string(d.action)
-                       : (d.target_workers < R.active ? "shrink" : "expand");
-        row.accepted = accepted;
-        row.workers_before = R.active;
-        row.workers_after = d.target_workers;
-        row.stall_s = d.restart_stall_s;
-        row.alpha_s = d.stall.alpha_s;
-        row.bootstrap_s = d.stall.bootstrap_s;
-        row.ckpt_write_s = d.stall.ckpt_write_s;
-        row.ckpt_read_s = d.stall.ckpt_read_s;
-        row.projected_gain_s = d.projected_gain_s;
-        R.trace->write_elastic_transition(row);
-      };
-      if (d.rejected_by_payoff) {
-        // A transition was wanted but its restart stall does not
-        // amortize within the payoff window — same ledger as rejected
-        // migrations (no bytes though: restarts move none).
-        ++res.maps_rejected_payoff;
-        emit_elastic_row(false);
-      } else if (d.action != ElasticAction::Hold && R.elastic->commit(d)) {
-        emit_elastic_row(true);
-        // Checkpoint-coordinated restart (docs/RUNTIME.md): serialize
-        // the training state through the real binary format, re-pack
-        // the stage map onto the new worker count, and resume from the
-        // restored checkpoint.  Weights arrive via checkpoint reload,
-        // so no migration bytes are issued; the whole transition is
-        // charged as the modeled restart stall instead.
-        Checkpoint ckpt;
-        ckpt.iteration = iter;
-        ckpt.stage_map = map;
-        ckpt.layer_states.assign(states.begin(), states.end());
-        auto restored = Checkpoint::deserialize(ckpt.serialize());
-        repack::ContiguousRepackRequest rreq;
-        rreq.memory_bytes = mem;
-        rreq.mem_capacity = R.mem_capacity;
-        rreq.target_workers = d.target_workers;
-        const auto rp = repack::repack_contiguous(rreq, d.target_workers);
-        DYNMO_CHECK(rp.feasible,
-                    "controller committed a memory-infeasible target");
-        map = rp.map;
-        states = std::move(restored.layer_states);
-        R.active = d.target_workers;
-        event_time += d.restart_stall_s;
-        res.restart_stall_s += d.restart_stall_s;
-        iter_restart_stall += d.restart_stall_s;
-        if (d.action == ElasticAction::Expand) {
-          ++res.expands;
-        } else {
-          ++res.shrinks;
-        }
-        // Resharding "comes for free" on reload (§3.4.2), but the pack
-        // above is memory-driven; polish with a time rebalance over the
-        // new worker count, accounted like the post-pack polish.
-        R.rebalancer.emplace(make_rebalancer(R.active));
-        const auto rb = run_rebalance(profile, map);
-        map = rb.map;
-        account_outcome(rb, 1.0, iter, "post_restart");
-        balance::OverheadBreakdown polish = rb.overhead;
-        polish.profile_s = 0.0;
-        res.overhead += polish;
-        event_time += polish.total_s();
-      }
+      if (snapped < R.active) target = snapped;
     }
   }
+  repack::ContiguousRepackRequest req;
+  req.memory_bytes.assign(mem.begin(), mem.end());
+  req.mem_capacity = R.mem_capacity;
+  req.target_workers = target;
+  // Deployment-aware packing prefers vacating whole nodes.
+  const auto rp =
+      deployment_ ? repack::repack_contiguous(req, R.active, *deployment_)
+                  : repack::repack_contiguous(req, R.active);
+  if (!rp.feasible && cfg_.repack_target_workers > 0) {
+    res.oom = true;  // forced pack does not fit (Fig. 4 OOM cells)
+    return;
+  }
+  if (!rp.feasible || rp.active_workers >= R.active) return;
 
-  // --- execute one iteration on the (possibly rebalanced) map ----------
-  auto costs = builder_.build(states, map, mb_scale);
+  // Adopt the consolidated map: trailing stages become empty and their
+  // workers are released; the pipeline continues on a compacted map over
+  // the survivors.
+  std::vector<std::size_t> b(
+      rp.map.boundaries().begin(),
+      rp.map.boundaries().begin() + rp.active_workers + 1);
+  const auto packed = pipeline::StageMap::from_boundaries(b);
+  const auto migration = balance::plan_migration(R.map, packed, mem);
+  const double migrate_s =
+      R.rb_cfg.stage_to_rank.empty()
+          ? migration.estimated_time_s(net_)
+          : migration.estimated_time_s(net_, R.rb_cfg.stage_to_rank);
+  // Payoff gate for packing: the transfer stalls all `active` workers for
+  // migrate_s once, and its payoff is the GPU-time of the released
+  // workers — one bottleneck-microbatch per window iteration each.  A pack
+  // that cannot amortize within the window is skipped (and retried at the
+  // next repack point, when the model may have shrunk further).
+  const double gain = static_cast<double>(R.active - rp.active_workers) *
+                      max_stage_load(R.map, profile.time_s);
+  if (cfg_.payoff_window_iters > 0.0 &&
+      gain * cfg_.payoff_window_iters <
+          migrate_s * static_cast<double>(R.active)) {
+    ++res.maps_rejected_payoff;
+    res.migration_bytes_avoided += migration.total_bytes() * R.replica_mirror;
+    emit_transition("repack", false, rp.active_workers, migrate_s, {}, gain,
+                    migration.total_bytes());
+    return;
+  }
+  record_migration_split(migration, 1.0);
+  emit_transition("repack", true, rp.active_workers, migrate_s, {}, gain,
+                  migration.total_bytes());
+  emit_migration_rows(R.iter, "repack", migration);
+  charges.event_s += migrate_s;
+  res.overhead.migrate_s += migrate_s;
+  R.map = packed;
+  R.active = rp.active_workers;
+  ++res.repack_count;
+  polish(profile, "post_pack", charges);
+}
+
+void TrainingSession::elastic_step(const balance::LayerProfile& profile,
+                                   std::span<const double> mem,
+                                   StepCharges& charges) {
+  auto& R = *run_;
+  // The restart stall is wall-clock seconds, so the gain side of the
+  // payoff inequality must be per-*iteration* seconds: a stage processes
+  // every microbatch, while profile.time_s is the balancers'
+  // per-microbatch currency.
+  const auto d = R.elastic->decide(R.map, per_iteration(profile.time_s), mem,
+                                   R.mem_capacity, R.active);
+  // A payoff-rejected decision keeps action == Hold; the wanted direction
+  // is recoverable from the target.
+  const char* kind =
+      d.action != ElasticAction::Hold
+          ? to_string(d.action)
+          : (d.target_workers < R.active ? "shrink" : "expand");
+  if (d.rejected_by_payoff) {
+    // A transition was wanted but its restart stall does not amortize
+    // within the payoff window — same ledger as rejected migrations (no
+    // bytes though: restarts move none).
+    ++R.res.maps_rejected_payoff;
+    emit_transition(kind, false, d.target_workers, d.restart_stall_s,
+                    d.stall, d.projected_gain_s);
+    return;
+  }
+  if (d.action == ElasticAction::Hold || !R.elastic->commit(d)) return;
+  emit_transition(kind, true, d.target_workers, d.restart_stall_s, d.stall,
+                  d.projected_gain_s);
+  const auto rp = pack_onto(mem, d.target_workers);
+  DYNMO_CHECK(rp.feasible, "controller committed a memory-infeasible target");
+  restart_onto(rp.map, d.target_workers, d.restart_stall_s, charges);
+  ++(d.action == ElasticAction::Expand ? R.res.expands : R.res.shrinks);
+  // Resharding "comes for free" on reload (§3.4.2), but the pack above is
+  // memory-driven; polish with a time rebalance over the new worker count.
+  polish(profile, "post_restart", charges);
+}
+
+IterationSample TrainingSession::simulate_iteration(
+    const pipeline::MicrobatchScaleFn& mb_scale,
+    std::span<const double> mem) {
+  auto& R = *run_;
+  auto& res = R.res;
+  const std::int64_t iter = R.iter;
+  auto costs = builder_.build(R.states, R.map, mb_scale);
   // A straggling GPU really is slower: stretch its stage's compute by the
   // injector's multiplier so the simulated timeline (and the bubbles the
   // healthy stages suffer waiting on it) reflect the degradation the
@@ -1249,8 +1084,12 @@ double TrainingSession::step() {
     }
   }
   const auto pipe = pipeline::simulate(cfg_.schedule, costs);
-  const auto dp_cost = dp_allreduce_cost(map, states);
-  iter_time += pipe.makespan_s + dp_cost.exposed_s;
+  const auto dp_cost = dp_allreduce_cost(R.map, R.states);
+  IterationSample sample;
+  sample.iter = iter;
+  sample.time_s = pipe.makespan_s + dp_cost.exposed_s;
+  sample.idleness = pipe.avg_idleness();
+  sample.bubble_ratio = pipe.bubble_ratio();
   res.intra_node_dp_bytes +=
       dp_cost.intra_bytes * static_cast<double>(cfg_.sim_stride);
   res.inter_node_dp_bytes +=
@@ -1258,13 +1097,11 @@ double TrainingSession::step() {
 
   // Memory accounting (for OOM detection and Fig. 4): every stage is
   // checked against the capacity of the GPU actually hosting it.
-  {
-    const auto stage_mem = map.stage_loads(mem);
-    for (int s = 0; s < map.num_stages(); ++s) {
-      const double used = stage_mem[static_cast<std::size_t>(s)];
-      res.peak_stage_memory = std::max(res.peak_stage_memory, used);
-      if (used > stage_mem_capacity(s)) res.oom = true;
-    }
+  const auto stage_mem = R.map.stage_loads(mem);
+  for (int s = 0; s < R.map.num_stages(); ++s) {
+    const double used = stage_mem[static_cast<std::size_t>(s)];
+    res.peak_stage_memory = std::max(res.peak_stage_memory, used);
+    if (used > stage_mem_capacity(s)) res.oom = true;
   }
 
   // Baseline-specific per-iteration overheads.
@@ -1272,18 +1109,26 @@ double TrainingSession::step() {
       engine_->is_dynamism_point(iter)) {
     const double oh = dynamic::FreezingEngine::egeria_check_overhead_s(
         model_->num_layers());
-    iter_time += oh;
+    sample.time_s += oh;
     res.baseline_overhead_s += oh;
   }
   if (cfg_.mode == BalancingMode::Tutel) {
     const double oh = 5e-5;  // adaptive dispatch bookkeeping
-    iter_time += oh;
+    sample.time_s += oh;
     res.baseline_overhead_s += oh;
   }
+  return sample;
+}
 
-  // --- bookkeeping ------------------------------------------------------
+double TrainingSession::record_window(IterationSample sample,
+                                      std::span<const double> mem,
+                                      std::span<const double> layer_seconds,
+                                      const StepCharges& charges) {
+  auto& R = *run_;
+  auto& res = R.res;
+  const auto& map = R.map;
   const double step_s =
-      iter_time * static_cast<double>(cfg_.sim_stride) + event_time;
+      sample.time_s * static_cast<double>(cfg_.sim_stride) + charges.event_s;
   res.total_time_s += step_s;
   // GPU-hours the release gave back (elastic or plain re-pack): every
   // DP replica frees the same (W0 - active) workers for this step —
@@ -1292,23 +1137,17 @@ double TrainingSession::step() {
   res.gpu_hours_saved += static_cast<double>(R.initial_workers - R.active) *
                          static_cast<double>(cfg_.data_parallel) * step_s /
                          3600.0;
-  R.idleness_stats.add(pipe.avg_idleness());
-  R.bubble_stats.add(pipe.bubble_ratio());
+  R.idleness_stats.add(sample.idleness);
+  R.bubble_stats.add(sample.bubble_ratio);
   R.workers_stats.add(static_cast<double>(R.active));
   // Work a loss at the *next* boundary would have to re-do: the compute
   // since the last checkpoint (event stalls are not re-done).
-  R.since_ckpt_s += iter_time * static_cast<double>(cfg_.sim_stride);
+  R.since_ckpt_s += sample.time_s * static_cast<double>(cfg_.sim_stride);
 
-  IterationSample sample;
-  sample.iter = iter;
-  sample.time_s = iter_time;
-  sample.idleness = pipe.avg_idleness();
-  sample.bubble_ratio = pipe.bubble_ratio();
   sample.active_workers = R.active;
   sample.compute_fraction =
-      engine_ != nullptr ? engine_->compute_fraction(states) : 1.0;
-  sample.rebalanced = rebalance_point;
-  sample.stall_s = event_time;
+      engine_ != nullptr ? engine_->compute_fraction(R.states) : 1.0;
+  sample.stall_s = charges.event_s;
   res.samples.push_back(sample);
 
   if (R.trace) {
@@ -1321,7 +1160,7 @@ double TrainingSession::step() {
     for (int s = 0; s < map.num_stages(); ++s) {
       const auto si = static_cast<std::size_t>(s);
       telemetry::StageLoadRow row;
-      row.iter = iter;
+      row.iter = sample.iter;
       row.stage = s;
       row.rank = deployment_ ? deployment_->rank(s) : s;
       row.layer_begin = static_cast<std::int64_t>(map.stage_begin(s));
@@ -1337,19 +1176,92 @@ double TrainingSession::step() {
       R.trace->write_stage_load(row);
     }
     telemetry::IterationRow irow;
-    irow.iter = iter;
-    irow.time_s = iter_time;
-    irow.event_s = event_time;
+    irow.iter = sample.iter;
+    irow.time_s = sample.time_s;
+    irow.event_s = charges.event_s;
     irow.bottleneck_s = *std::max_element(stage_s.begin(), stage_s.end());
     irow.idleness = sample.idleness;
     irow.bubble_ratio = sample.bubble_ratio;
     irow.active_workers = R.active;
     irow.compute_fraction = sample.compute_fraction;
-    irow.rebalanced = rebalance_point;
-    irow.stall_s = iter_restart_stall;
+    irow.rebalanced = sample.rebalanced;
+    irow.stall_s = charges.restart_stall_s;
     R.trace->write_iteration(irow);
   }
+  return step_s;
+}
 
+double TrainingSession::step() {
+  DYNMO_CHECK(run_ != nullptr, "step() before start()");
+  DYNMO_CHECK(!done(), "step() past the configured iterations");
+  auto& R = *run_;
+  const std::int64_t iter = R.iter;
+  // One-off seconds this window charges on top of its sim_stride
+  // iterations: rebalance decisions, migrations, checkpoints, restarts.
+  StepCharges charges;
+
+  // An arbiter-forced shrink executes before the window's dynamism step,
+  // on the state the quote priced.
+  if (R.pending_shrink > 0) execute_forced_shrink(charges);
+
+  // Injected faults fire at the window boundary, on the state the last
+  // checkpoint could have captured (docs/FAULT.md).  An unrecoverable
+  // loss ends the run mid-window: account what the window charged (the
+  // fatal event itself charges nothing) and stop stepping.
+  if (R.injector && !poll_faults(charges)) {
+    R.res.total_time_s += charges.event_s;
+    return charges.event_s;
+  }
+
+  // Dynamism: the engine evolves the layer states for this window.
+  if (engine_ != nullptr) engine_->step(iter, R.states);
+  if (cfg_.mode == BalancingMode::Tutel) apply_tutel_mitigation(R.states);
+  const auto mb_scale = engine_ != nullptr ? engine_->microbatch_scale(iter)
+                                           : pipeline::MicrobatchScaleFn{};
+  const auto mem = builder_.layer_memory_bytes(R.states, R.map);
+
+  periodic_checkpoint(mem, charges);
+
+  const bool rebalance_point = cfg_.mode == BalancingMode::DynMo &&
+                               R.interval > 0 && iter % R.interval == 0;
+  // Raw (pre-noise) per-layer fwd+bwd seconds: the profile's time loads
+  // at rebalance points, and what the stage_loads table records — replay
+  // re-derives the measurement noise from the seed, so recording the raw
+  // values keeps the trace exact.
+  std::vector<double> layer_seconds;
+  if (R.trace || rebalance_point) {
+    layer_seconds = builder_.layer_total_seconds(R.states);
+  }
+
+  // Rebalancing happens *inside* the iteration: for every-iteration
+  // cadences (MoE / MoD / sparse attention) the forward pass measures the
+  // routing loads and the backward pass migrates layers accordingly
+  // (§3.3.1), so the new map takes effect for the very loads that were
+  // measured.  For slow cadences (pruning / freezing / early exit) this
+  // merely skips the single imbalanced profiling iteration, which is
+  // negligible at those intervals.
+  if (rebalance_point) {
+    // Stragglers enter the decision path here: the rebalance point sees
+    // the degraded capacities, so diffusion/partition route load away from
+    // the slow stage — and back when it recovers (the payoff gate keeps
+    // the return migration from thrashing).
+    if (R.injector && R.injector->any_degradation()) refresh_capacities(iter);
+    auto profile = layer_profile(layer_seconds, mem);
+    balance::add_measurement_noise(profile, R.noise_rng);
+    periodic_rebalance(profile, charges);
+    if (cfg_.repack && iter > 0 && iter % cfg_.repack_interval == 0) {
+      try_repack(profile, mem, charges);
+    }
+    if (R.elastic && iter > 0 && iter % cfg_.elastic.interval == 0) {
+      elastic_step(profile, mem, charges);
+    }
+  }
+
+  // Simulate one iteration on the (possibly rebalanced) map, then book
+  // the whole window.
+  IterationSample sample = simulate_iteration(mb_scale, mem);
+  sample.rebalanced = rebalance_point;
+  const double step_s = record_window(sample, mem, layer_seconds, charges);
   R.iter += cfg_.sim_stride;
   return step_s;
 }

@@ -391,22 +391,65 @@ class TrainingSession {
   /// source, before it can leak into event_s/stall_s sums downstream.
   balance::RebalanceOutcome run_rebalance(const balance::LayerProfile& profile,
                                           const pipeline::StageMap& map);
-  /// Execute a queued request_shrink() (no-op without one); stall and
-  /// polish overhead are charged into the current step's accumulators.
-  void execute_forced_shrink(double& event_time, double& iter_restart_stall);
+
+  /// One-off seconds a step() window charges on top of its simulated
+  /// iterations.  Every event lands in `event_s`; restart stalls are also
+  /// broken out in `restart_stall_s` (the iterations table's stall_s).
+  struct StepCharges {
+    double event_s = 0.0;
+    double restart_stall_s = 0.0;
+  };
+
+  /// quote_shrink / quote_expand: the restart stall onto `target_workers`
+  /// and the iteration time on both sides (infeasible when out of range).
+  TransitionQuote quote_transition(int target_workers, bool expand) const;
+
+  // --- shared restart helpers -------------------------------------------
+  /// Per-microbatch layer seconds scaled to one iteration.
+  std::vector<double> per_iteration(std::vector<double> layer_s) const;
+  balance::LayerProfile layer_profile(std::vector<double> time_s,
+                                      std::span<const double> mem) const;
+  /// The memory-driven map a restart onto `target` workers reloads into.
+  repack::ContiguousRepackResult pack_onto(std::span<const double> mem,
+                                           int target) const;
+  void restart_onto(const pipeline::StageMap& map, int workers,
+                    double stall_s, StepCharges& charges);
+  /// Fresh rebalancer for the new footprint plus one rebalance.
+  void polish(const balance::LayerProfile& profile, const char* trigger,
+              StepCharges& charges);
+  void emit_transition(const char* kind, bool accepted, int workers_after,
+                       double stall_s, const RestartStall& stall,
+                       double projected_gain_s, double migrated_bytes = 0.0);
+
+  // --- step() phases, in the order step() runs them ---------------------
+  /// Execute a queued request_shrink() (no-op without one).
+  void execute_forced_shrink(StepCharges& charges);
+  /// Fire this window's injected fault events; false when an
+  /// unrecoverable worker loss failed the run.
+  bool poll_faults(StepCharges& charges);
   /// Recover from an injected loss of `victim`: involuntary shrink onto
   /// the surviving prefix, priced as restart stall + lost work since the
   /// last checkpoint.  Marks the run failed when the survivors cannot
   /// absorb the model.
-  void execute_worker_loss(int victim, double& event_time,
-                           double& iter_restart_stall);
+  void execute_worker_loss(int victim, StepCharges& charges);
   /// Refresh rb_cfg.capacities from the injector's straggler multipliers
   /// at `iter` (rebuilding the rebalancer only when the effective
   /// capacities changed).
   void refresh_capacities(std::int64_t iter);
-  /// Busiest-shard periodic checkpoint write at elastic.checkpoint_bw.
-  double checkpoint_write_seconds(const pipeline::StageMap& map,
-                                  std::span<const double> state_bytes) const;
+  void periodic_checkpoint(std::span<const double> mem, StepCharges& charges);
+  void periodic_rebalance(const balance::LayerProfile& profile,
+                          StepCharges& charges);
+  void try_repack(const balance::LayerProfile& profile,
+                  std::span<const double> mem, StepCharges& charges);
+  void elastic_step(const balance::LayerProfile& profile,
+                    std::span<const double> mem, StepCharges& charges);
+  IterationSample simulate_iteration(
+      const pipeline::MicrobatchScaleFn& mb_scale,
+      std::span<const double> mem);
+  /// Book the window into the result and the trace; returns its seconds.
+  double record_window(IterationSample sample, std::span<const double> mem,
+                       std::span<const double> layer_seconds,
+                       const StepCharges& charges);
 
   const model::ModelDesc* model_;
   SessionConfig cfg_;
@@ -419,6 +462,7 @@ class TrainingSession {
   /// and the synthetic tiling are both immutable, so the node grouping is
   /// computed once here, not per simulated iteration.
   std::vector<comm::RankGroup> dp_groups_;
+  std::vector<double> layer_params_;  ///< static per-layer parameter counts
   /// Live run state between start() and finish() (defined in session.cpp;
   /// run() keeps its exact pre-stepping behavior by looping over it).
   struct Run;
