@@ -741,8 +741,11 @@ void TrainingSession::execute_forced_shrink(StepCharges& charges) {
   d.target_workers = target;
   d.stall = R.elastic->restart_stall(R.map, rp.map, mem);
   d.restart_stall_s = d.stall.total_s();
+  // Freed GPU-time per *iteration* — the currency of the controller's own
+  // shrink rule and of quote_shrink, so every elastic_transitions row
+  // prices its gain alike (layer_seconds is per microbatch).
   d.projected_gain_s = static_cast<double>(R.active - target) *
-                       max_stage_load(R.map, layer_seconds);
+                       max_stage_load(R.map, per_iteration(layer_seconds));
   // Releases always succeed (ControlPlane contract) — a refusal here means
   // the arbiter and the session disagree about the claim, a real bug.
   DYNMO_CHECK(R.elastic->commit(d), "control plane refused a release");

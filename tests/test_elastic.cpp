@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "cluster/deployment.hpp"
@@ -476,6 +478,62 @@ TEST(SessionElastic, ForcedShrinkTakesTheCheckpointPathDeterministically) {
     EXPECT_EQ(b.final_map.stage_end(s), a.final_map.stage_end(s));
   }
   std::filesystem::remove_all(base);
+}
+
+/// Spike-model elastic session (window too tight for any voluntary
+/// transition) on its own MockEck pool, started and stepped `windows`
+/// windows in; `trace_dir` empty disables telemetry.
+struct QuotedSession {
+  repack::MockEckCluster eck{8};
+  std::unique_ptr<runtime::TrainingSession> session;
+
+  QuotedSession(const model::ModelDesc& m, int windows,
+                const std::string& trace_dir = "") {
+    auto cfg = spike_session_config();
+    cfg.iterations = 1000;
+    cfg.elastic.enabled = true;
+    cfg.elastic.interval = 500;
+    cfg.elastic.min_workers = 2;
+    cfg.elastic.payoff_window_iters = 1e-3;
+    cfg.elastic.restart_alpha_s = 0.5;
+    cfg.elastic.checkpoint_bw = 16.0 * 1024 * 1024 * 1024;
+    cfg.elastic.cluster = &eck;
+    cfg.telemetry.dir = trace_dir;
+    session = std::make_unique<runtime::TrainingSession>(m, cfg, nullptr);
+    session->start();
+    for (int i = 0; i < windows; ++i) (void)session->step();
+  }
+};
+
+// A preempt row's projected gain is freed GPU-time per *iteration*, the
+// same currency as the controller's voluntary shrink rows: the released
+// workers times the quoted per-iteration bottleneck.
+TEST(SessionElastic, PreemptRowGainIsPerIterationFreedTime) {
+  const auto m = spike_model();
+  const auto dir =
+      (std::filesystem::path(testing::TempDir()) / "preempt_gain").string();
+  std::filesystem::remove_all(dir);
+  {
+    QuotedSession qs(m, 10, dir);
+    auto& s = *qs.session;
+    const auto q = s.quote_shrink(5);
+    s.request_shrink(5);
+    while (!s.done()) (void)s.step();
+    (void)s.finish();
+
+    telemetry::TraceReader reader(dir);
+    int preempts = 0;
+    for (const auto& row : reader.elastic_transitions()) {
+      if (row.kind != "preempt") continue;
+      ++preempts;
+      EXPECT_DOUBLE_EQ(row.projected_gain_s,
+                       static_cast<double>(row.workers_before -
+                                           row.workers_after) *
+                           q.iter_s_before);
+    }
+    EXPECT_EQ(preempts, 1);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
