@@ -505,6 +505,56 @@ struct QuotedSession {
   }
 };
 
+// The fleet arbiter prices every preemption with quote_shrink before it
+// forces anything: the quoted stall must be exactly what the forced
+// shrink then charges.
+TEST(SessionElastic, QuoteShrinkStallIsWhatTheForcedShrinkCharges) {
+  const auto m = spike_model();
+  QuotedSession qs(m, 10);
+  auto& s = *qs.session;
+  const auto q = s.quote_shrink(5);
+  ASSERT_TRUE(q.feasible);
+  EXPECT_EQ(q.workers_before, 8);
+  EXPECT_EQ(q.workers_after, 5);
+  EXPECT_GT(q.restart_stall_s, 0.0);
+  EXPECT_GT(q.iter_s_before, 0.0);
+  EXPECT_GE(q.iter_s_after, q.iter_s_before);  // fewer workers, no faster
+  s.request_shrink(5);
+  (void)s.step();
+  ASSERT_EQ(s.active_workers(), 5);
+  while (!s.done()) (void)s.step();
+  const auto r = s.finish();
+  EXPECT_EQ(r.forced_shrinks, 1);
+  // The forced shrink is the run's only restart.
+  EXPECT_DOUBLE_EQ(r.restart_stall_s, q.restart_stall_s);
+}
+
+TEST(SessionElastic, QuotesOutsideTheFootprintRangeAreInfeasible) {
+  const auto m = spike_model();
+  QuotedSession qs(m, 10);
+  auto& s = *qs.session;
+  s.request_shrink(4);
+  (void)s.step();
+  ASSERT_EQ(s.active_workers(), 4);
+  // Shrink targets must lie in [min_workers, active) = [2, 4).
+  EXPECT_TRUE(s.quote_shrink(2).feasible);
+  EXPECT_TRUE(s.quote_shrink(3).feasible);
+  EXPECT_FALSE(s.quote_shrink(1).feasible);  // below min_workers
+  EXPECT_FALSE(s.quote_shrink(4).feasible);  // no release
+  EXPECT_FALSE(s.quote_shrink(6).feasible);  // a grow
+  // Expand targets must lie in (active, max_workers] = (4, 8].
+  EXPECT_TRUE(s.quote_expand(5).feasible);
+  EXPECT_TRUE(s.quote_expand(8).feasible);
+  EXPECT_FALSE(s.quote_expand(4).feasible);  // no growth
+  EXPECT_FALSE(s.quote_expand(3).feasible);  // a shrink
+  EXPECT_FALSE(s.quote_expand(9).feasible);  // past the ceiling
+  // Infeasible quotes still price today's side and carry no stall.
+  const auto out = s.quote_expand(9);
+  EXPECT_GT(out.iter_s_before, 0.0);
+  EXPECT_EQ(out.restart_stall_s, 0.0);
+  EXPECT_EQ(out.iter_s_after, 0.0);
+}
+
 // A preempt row's projected gain is freed GPU-time per *iteration*, the
 // same currency as the controller's voluntary shrink rows: the released
 // workers times the quoted per-iteration bottleneck.
