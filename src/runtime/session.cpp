@@ -587,15 +587,6 @@ void TrainingSession::request_shrink(int target_workers) {
 }
 
 TransitionQuote TrainingSession::quote_shrink(int target_workers) const {
-  return quote_transition(target_workers, /*expand=*/false);
-}
-
-TransitionQuote TrainingSession::quote_expand(int target_workers) const {
-  return quote_transition(target_workers, /*expand=*/true);
-}
-
-TransitionQuote TrainingSession::quote_transition(int target_workers,
-                                                  bool expand) const {
   DYNMO_CHECK(run_ != nullptr && run_->elastic.has_value(),
               "quotes need a started session with elastic.enabled");
   const auto& R = *run_;
@@ -605,27 +596,42 @@ TransitionQuote TrainingSession::quote_transition(int target_workers,
   const auto iter_layer_s =
       per_iteration(builder_.layer_total_seconds(R.states));
   q.iter_s_before = max_stage_load(R.map, iter_layer_s);
-  const bool in_range =
-      expand ? target_workers > R.active &&
-                   target_workers <= R.elastic->max_workers()
-             : target_workers >= R.elastic->min_workers() &&
-                   target_workers < R.active;
-  if (!in_range) return q;
-  const auto mem = builder_.layer_memory_bytes(R.states, R.map);
-  pipeline::StageMap after;
-  if (expand) {
-    // The post-restart map is the balanced partition at the grown count —
-    // exactly what reshard-on-reload produces (ElasticController::decide).
-    balance::PartitionRequest preq;
-    preq.weights.assign(iter_layer_s.begin(), iter_layer_s.end());
-    preq.num_stages = target_workers;
-    after = balance::PartitionBalancer{}.balance(preq).map;
-  } else {
-    auto rp = pack_onto(mem, target_workers);
-    if (!rp.feasible) return q;  // the model does not fit that tight
-    after = std::move(rp.map);
+  if (target_workers < R.elastic->min_workers() ||
+      target_workers >= R.active) {
+    return q;
   }
-  q.restart_stall_s = R.elastic->restart_stall_s(R.map, after, mem);
+  const auto mem = builder_.layer_memory_bytes(R.states, R.map);
+  const auto rp = pack_onto(mem, target_workers);
+  if (!rp.feasible) return q;  // the model does not fit that tight
+  q.restart_stall_s = R.elastic->restart_stall_s(R.map, rp.map, mem);
+  q.iter_s_after = balance::PartitionBalancer::optimal_bottleneck(
+      iter_layer_s, target_workers);
+  q.feasible = true;
+  return q;
+}
+
+TransitionQuote TrainingSession::quote_expand(int target_workers) const {
+  DYNMO_CHECK(run_ != nullptr && run_->elastic.has_value(),
+              "quotes need a started session with elastic.enabled");
+  const auto& R = *run_;
+  TransitionQuote q;
+  q.workers_before = R.active;
+  q.workers_after = target_workers;
+  const auto iter_layer_s =
+      per_iteration(builder_.layer_total_seconds(R.states));
+  q.iter_s_before = max_stage_load(R.map, iter_layer_s);
+  if (target_workers <= R.active ||
+      target_workers > R.elastic->max_workers()) {
+    return q;
+  }
+  // The post-restart map is the balanced partition at the grown count —
+  // exactly what reshard-on-reload produces (ElasticController::decide).
+  balance::PartitionRequest preq;
+  preq.weights.assign(iter_layer_s.begin(), iter_layer_s.end());
+  preq.num_stages = target_workers;
+  const auto balanced = balance::PartitionBalancer{}.balance(preq);
+  const auto mem = builder_.layer_memory_bytes(R.states, R.map);
+  q.restart_stall_s = R.elastic->restart_stall_s(R.map, balanced.map, mem);
   q.iter_s_after = balance::PartitionBalancer::optimal_bottleneck(
       iter_layer_s, target_workers);
   q.feasible = true;

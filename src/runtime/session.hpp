@@ -400,10 +400,6 @@ class TrainingSession {
     double restart_stall_s = 0.0;
   };
 
-  /// quote_shrink / quote_expand: the restart stall onto `target_workers`
-  /// and the iteration time on both sides (infeasible when out of range).
-  TransitionQuote quote_transition(int target_workers, bool expand) const;
-
   // --- shared restart helpers -------------------------------------------
   /// Per-microbatch layer seconds scaled to one iteration.
   std::vector<double> per_iteration(std::vector<double> layer_s) const;
