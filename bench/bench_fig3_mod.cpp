@@ -23,6 +23,9 @@ int main(int argc, char** argv) {
     opt.session.rebalance_interval = 1;
     opt.session.iterations = 2000;  // stationary routing statistics
     opt.session.sim_stride = 10;
+    // Zero the measured decide time at the source so wall-clock jitter
+    // never reaches the modeled clock: the recorded numbers reproduce.
+    opt.session.telemetry.deterministic = true;
 
     const auto megatron = bench::run_config(
         model, UseCase::MixtureOfDepths, opt,

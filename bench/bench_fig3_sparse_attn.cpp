@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
     opt.session.rebalance_interval = 1;  // routing changes every iteration
     opt.session.iterations = 2000;       // stationary: shorter window
     opt.session.sim_stride = 10;
+    // Zero the measured decide time at the source so wall-clock jitter
+    // never reaches the modeled clock: the recorded numbers reproduce.
+    opt.session.telemetry.deterministic = true;
 
     const auto dense = bench::run_config(
         model, UseCase::Static, opt, runtime::BalancingMode::StaticUniform,

@@ -45,6 +45,9 @@ dynmo::Options fig4_options(dynmo::UseCase uc) {
   opt.session.sim_stride = 100;
   opt.session.rebalance_interval = 500;
   opt.session.repack_interval = 500;
+  // Zero the measured decide time at the source so wall-clock jitter
+  // never reaches the modeled clock: the recorded numbers reproduce.
+  opt.session.telemetry.deterministic = true;
   if (uc == dynmo::UseCase::GradualPruning) {
     opt.session.rebalance_interval = 1000;
     opt.session.repack_interval = 1000;
