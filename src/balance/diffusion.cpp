@@ -183,23 +183,18 @@ DiffusionResult DiffusionBalancer::balance(
   std::vector<std::size_t> best_b = cur.b;
   double best_bottleneck = *std::max_element(norm.begin(), norm.end());
   double best_phi = res.phi_history.front();
-  const auto consider_best = [&] {
-    const double bn = *std::max_element(norm.begin(), norm.end());
-    const double phi = potential(norm);
-    if (bn < best_bottleneck - 1e-15 ||
-        (bn <= best_bottleneck + 1e-15 && phi < best_phi)) {
-      best_b = cur.b;
-      best_bottleneck = bn;
-      best_phi = phi;
-    }
-  };
+  // φ of the current placement.  A round that moves no layer leaves norm
+  // untouched, so its φ and bottleneck are the previous round's, which the
+  // best-map update has already seen: only a moving round is re-scored.
+  double phi = best_phi;
 
   int stagnant = 0;
+  std::vector<double> next(virt.size());
   for (int r = 0; r < max_rounds; ++r) {
     // Phase 1: one weighted diffusion sweep on the normalized loads; the
     // load carried over edge (a,a+1) is the normalized flow times the
     // edge conductance min(c_a, c_{a+1}) (stable since path degree ≤ 2).
-    std::vector<double> next = virt;
+    std::copy(virt.begin(), virt.end(), next.begin());
     for (int a = 0; a + 1 < S; ++a) {
       const auto ia = static_cast<std::size_t>(a);
       const double c_edge = std::min(cap[ia], cap[ia + 1]);
@@ -208,18 +203,26 @@ DiffusionResult DiffusionBalancer::balance(
       next[ia + 1] += f / cap[ia + 1];
       edge_flow[ia] += f;
     }
-    virt = std::move(next);
+    virt.swap(next);
 
     // Phase 2: realize what the accumulated flows allow.
     const int moved = realize_flows();
     res.layer_moves += moved;
     ++res.rounds;
-    consider_best();
+    if (moved > 0) {
+      const double bn = *std::max_element(norm.begin(), norm.end());
+      phi = potential(norm);
+      if (bn < best_bottleneck - 1e-15 ||
+          (bn <= best_bottleneck + 1e-15 && phi < best_phi)) {
+        best_b = cur.b;
+        best_bottleneck = bn;
+        best_phi = phi;
+      }
+    }
     // History records the best-so-far potential: the protocol may pass
     // through transiently worse states, but the achievable balance (what
     // Lemma 2 bounds) improves monotonically.
-    res.phi_history.push_back(
-        std::min(res.phi_history.back(), potential(norm)));
+    res.phi_history.push_back(std::min(res.phi_history.back(), phi));
     if (res.phi_history.back() <= gamma) {
       res.converged = true;
       break;

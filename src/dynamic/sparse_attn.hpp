@@ -45,13 +45,35 @@ class SparseAttnEngine final : public DynamismEngine {
 
   /// The simulated block-sparse density for one layer at one iteration —
   /// fraction of the full s×s attention matrix covered by same-bucket
-  /// causal blocks (dense causal = 0.5).
+  /// causal blocks (dense causal = 0.5).  A pure function of (layer, hash
+  /// epoch = iter / 25, iter).
   double layer_density(std::size_t layer, std::int64_t iter) const;
 
  private:
+  /// What one hash epoch fixes for a layer: the same-bucket causal
+  /// fraction and the slow log-jitter plus the layer bias.  Only the fast
+  /// white-noise term varies within the epoch.
+  struct EpochDraw {
+    double causal_frac = 0.0;
+    double log_slow = 0.0;
+  };
+  struct CachedEpoch {
+    std::int64_t epoch = 0;
+    bool valid = false;
+    EpochDraw draw;
+  };
+
+  bool is_attention(std::size_t layer) const;
+  EpochDraw draw_epoch(std::size_t layer, std::int64_t epoch) const;
+  double density(std::size_t layer, std::int64_t iter,
+                 const EpochDraw& e) const;
+
   const model::ModelDesc* model_;
   SparseAttnEngineConfig cfg_;
   std::vector<double> layer_bias_;  ///< per-layer mean log-density offset
+  /// step()'s last epoch draw per layer; draw_epoch() is pure, so the cache
+  /// never makes a result depend on the order of calls.
+  std::vector<CachedEpoch> epoch_cache_;
 };
 
 }  // namespace dynmo::dynamic
