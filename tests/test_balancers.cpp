@@ -5,6 +5,7 @@
 // converges within the Lemma-2 round bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -14,6 +15,7 @@
 #include "balance/partition.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
+#include "diffusion_rounds.hpp"
 
 namespace dynmo::balance {
 namespace {
@@ -214,6 +216,61 @@ TEST(Diffusion, Lemma2BoundGrowsWithN) {
   const int b16 = DiffusionBalancer::lemma2_round_bound(16, 100.0, 0.1);
   EXPECT_GT(b16, b4);
   EXPECT_GT(b4, 0);
+}
+
+// balance() scores only the rounds that moved a layer; the reference in
+// diffusion_rounds.hpp scores every round.  Every result field must agree
+// exactly, phi_history entry by entry, over seeded random requests: stage
+// counts 1..64, uniform and heterogeneous capacities, with and without a
+// memory cap, tied and distinct weights, random (possibly empty) start
+// stages, and default and truncated round budgets.
+TEST(Diffusion, MatchesEveryRoundScoringReference) {
+  constexpr int kStages[] = {1, 2, 3, 8, 32, 64};
+  constexpr int kCases = 2016;
+  Rng rng(0xd1ff);
+  int moving = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const int S = kStages[i % 6];
+    const bool hetero = (i / 6) % 2 == 1;
+    const bool mem_cap = (i / 12) % 2 == 1;
+    const std::size_t L =
+        static_cast<std::size_t>(S) + rng.uniform_int(2 * S + 8);
+    DiffusionRequest req;
+    req.weights = random_weights(rng, L, (i / 24) % 4);
+    if (hetero) {
+      for (int s = 0; s < S; ++s) req.capacities.push_back(rng.uniform(0.5, 2));
+    }
+    if (mem_cap) {
+      double total_mem = 0.0;
+      for (std::size_t l = 0; l < L; ++l) {
+        req.memory_bytes.push_back(rng.uniform(1.0, 3.0));
+        total_mem += req.memory_bytes.back();
+      }
+      req.mem_capacity = total_mem / S * rng.uniform(1.05, 2.0);
+    }
+    if (i % 7 == 0) req.max_rounds = 1 + static_cast<int>(rng.uniform_int(40));
+    std::vector<std::size_t> b{0};
+    for (int s = 1; s < S; ++s) b.push_back(rng.uniform_int(L + 1));
+    b.push_back(L);
+    std::sort(b.begin(), b.end());
+    const auto start = pipeline::StageMap::from_boundaries(b);
+
+    SCOPED_TRACE("case " + std::to_string(i) + ": S=" + std::to_string(S) +
+                 " L=" + std::to_string(L));
+    const auto got = DiffusionBalancer{}.balance(req, start);
+    const auto want = testing::diffusion_reference(req, start);
+    ASSERT_EQ(got.map.boundaries(), want.map.boundaries());
+    ASSERT_EQ(got.rounds, want.rounds);
+    ASSERT_EQ(got.layer_moves, want.layer_moves);
+    ASSERT_EQ(got.converged, want.converged);
+    ASSERT_EQ(got.phi_history.size(), want.phi_history.size());
+    for (std::size_t r = 0; r < want.phi_history.size(); ++r) {
+      ASSERT_EQ(got.phi_history[r], want.phi_history[r]) << "round " << r;
+    }
+    if (want.layer_moves > 0) ++moving;
+  }
+  // Most requests must actually move layers, or the comparison is vacuous.
+  EXPECT_GT(moving, kCases / 2);
 }
 
 }  // namespace
