@@ -2,6 +2,7 @@
 // determinism, and the statistical properties the paper relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/stats.hpp"
@@ -192,6 +193,99 @@ TEST(SparseAttn, StepWritesComputeScale) {
   for (const auto& s : st) mean += s.compute_scale;
   mean /= static_cast<double>(st.size());
   EXPECT_LT(mean, 0.8);
+}
+
+// The density law with its same-bucket pairs counted by the O(B²) loop
+// over all causal tile pairs (q >= k): the oracle for the engine's bucket
+// histogram.  Draws in the engine's order, from the same seeds.
+double pair_loop_density(const SparseAttnEngineConfig& cfg,
+                         std::size_t layer, std::int64_t iter) {
+  Rng bias_rng(hash_mix(cfg.seed, 0x5a77));
+  double bias = 0.0;
+  for (std::size_t l = 0; l <= layer; ++l) {
+    bias = bias_rng.normal(0.0, cfg.layer_spread);
+  }
+  Rng rng(hash_mix(cfg.seed ^ 0xa77e, layer,
+                   static_cast<std::uint64_t>(iter / 25)));
+  std::vector<std::uint64_t> bucket(
+      static_cast<std::size_t>(cfg.blocks_per_seq));
+  for (auto& b : bucket) {
+    b = rng.zipf(static_cast<std::uint64_t>(cfg.num_buckets),
+                 cfg.bucket_zipf_s);
+  }
+  std::int64_t same = 0;
+  std::int64_t total = 0;
+  for (std::size_t q = 0; q < bucket.size(); ++q) {
+    for (std::size_t k = 0; k <= q; ++k) {
+      ++total;
+      if (bucket[q] == bucket[k]) ++same;
+    }
+  }
+  const double causal_frac =
+      static_cast<double>(same) / static_cast<double>(total);
+  Rng fast(hash_mix(cfg.seed ^ 0xfa50, layer,
+                    static_cast<std::uint64_t>(iter)));
+  const double jitter = std::exp(rng.normal(0.0, cfg.iteration_jitter) +
+                                 bias + fast.normal(0.0, 0.05));
+  return std::clamp(0.5 * causal_frac * jitter, cfg.min_density, 0.5);
+}
+
+TEST(SparseAttn, HistogramCountMatchesPairLoop) {
+  const auto m = gpt(12);
+  std::vector<SparseAttnEngineConfig> cfgs(4);
+  cfgs[1].blocks_per_seq = 7;
+  cfgs[1].num_buckets = 2;
+  cfgs[2].blocks_per_seq = 200;
+  cfgs[2].num_buckets = 64;
+  cfgs[2].bucket_zipf_s = 2.5;
+  cfgs[3].seed = 99;
+  cfgs[3].bucket_zipf_s = 1.01;
+  for (const auto& cfg : cfgs) {
+    SparseAttnEngine eng(m, cfg);
+    for (std::int64_t it : {0, 24, 25, 777}) {
+      for (std::size_t l = 0; l < m.num_layers(); ++l) {
+        EXPECT_EQ(eng.layer_density(l, it), pair_loop_density(cfg, l, it))
+            << "B=" << cfg.blocks_per_seq << " layer " << l << " iter " << it;
+      }
+    }
+  }
+}
+
+// step() keeps one hash-epoch draw per layer.  In any iteration order —
+// here backwards and across epoch boundaries — it must write exactly
+// layer_density(l, iter) / 0.5 and leave non-attention layers alone.
+TEST(SparseAttn, StepMatchesLayerDensityInAnyOrder) {
+  const auto m = model::make_gpt({.num_blocks = 8});
+  SparseAttnEngine eng(m, {});
+  std::vector<model::LayerState> st(m.num_layers());
+  for (std::int64_t it : {0, 24, 25, 49, 10, 300, 26}) {
+    eng.step(it, st);
+    for (std::size_t l = 0; l < m.num_layers(); ++l) {
+      const auto kind = m.layers[l].kind;
+      const bool attention = kind == model::LayerKind::TransformerBlock ||
+                             kind == model::LayerKind::MoeTransformerBlock;
+      EXPECT_EQ(st[l].compute_scale,
+                attention ? eng.layer_density(l, it) / 0.5 : 1.0)
+          << "layer " << l << " iter " << it;
+    }
+  }
+}
+
+// Two engines, one stepped through every iteration first and one not: the
+// cache is a pure function of (layer, epoch), so their states agree.
+TEST(SparseAttn, StateIndependentOfCallHistory) {
+  const auto m = gpt(16);
+  SparseAttnEngine walked(m, {}), fresh(m, {});
+  std::vector<model::LayerState> sw(16), sf(16);
+  for (std::int64_t it = 0; it < 60; ++it) walked.step(it, sw);
+  for (std::int64_t it : {26, 300, 24, 49, 59}) {
+    walked.step(it, sw);
+    fresh.step(it, sf);
+    for (std::size_t l = 0; l < 16; ++l) {
+      EXPECT_EQ(sw[l].compute_scale, sf[l].compute_scale)
+          << "layer " << l << " iter " << it;
+    }
+  }
 }
 
 // ------------------------------------------------------------- early exit
