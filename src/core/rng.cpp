@@ -23,6 +23,21 @@ double Rng::lognormal(double mu, double sigma) {
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {
   DYNMO_CHECK(n > 0, "zipf over empty support");
   if (s <= 0.0) return uniform_int(n);
+  if (s <= 1.0) {
+    // The rejection sampler below needs s > 1: at s = 1 its envelope
+    // constant b − 1 is 0, and below 1 every proposal floors to x = 0 and
+    // is rejected.  Invert the finite-support CDF exactly instead.
+    double mass = 0.0;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      mass += std::pow(static_cast<double>(k), -s);
+    }
+    double r = uniform() * mass;
+    for (std::uint64_t k = 1; k < n; ++k) {
+      r -= std::pow(static_cast<double>(k), -s);
+      if (r < 0.0) return k - 1;
+    }
+    return n - 1;
+  }
   // Inverse-CDF by rejection (Devroye).  Fine for the n (<= few thousand
   // experts/buckets) we use; exactness matters more than speed here.
   const double b = std::pow(2.0, s - 1.0);

@@ -110,8 +110,10 @@ class Rng {
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
   /// Log-normal such that the underlying normal is N(mu, sigma).
   double lognormal(double mu, double sigma);
-  /// Zipf-distributed integer in [0, n) with exponent `s` (s=0 → uniform).
-  /// Used to model skewed token→expert routing.
+  /// Zipf-distributed integer in [0, n) with exponent `s` (s=0 → uniform):
+  /// P(k) ∝ (k+1)^−s.  Rejection sampling for s > 1, exact CDF inversion
+  /// (O(n) per draw) for 0 < s ≤ 1.  Used to model skewed token→expert
+  /// routing and hash-bucket popularity.
   std::uint64_t zipf(std::uint64_t n, double s);
   /// Bernoulli trial.
   bool bernoulli(double p) { return uniform() < p; }

@@ -75,6 +75,40 @@ TEST(Rng, ZipfSkewsLow) {
   EXPECT_GT(counts[0], counts[15]);
 }
 
+// zipf(n, s) for 0 < s <= 1 never returned: the rejection sampler is only
+// valid for s > 1.  Both exponents must return inside [0, n) and follow the
+// pmf P(k) ∝ (k+1)^-s (chi-square goodness of fit at alpha = 1e-4).
+TEST(Rng, ZipfAtMostOneMatchesPmf) {
+  constexpr std::uint64_t n = 16;
+  constexpr int samples = 200000;
+  for (const double s : {1.0, 0.8}) {
+    SCOPED_TRACE("s=" + std::to_string(s));
+    Rng rng(15);
+    std::vector<double> hist(n, 0.0);
+    for (int i = 0; i < samples; ++i) {
+      const auto k = rng.zipf(n, s);
+      ASSERT_LT(k, n);
+      hist[k] += 1.0;
+    }
+    double mass = 0.0;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      mass += std::pow(static_cast<double>(k), -s);
+    }
+    double chi2 = 0.0;
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const double expected =
+          samples * std::pow(static_cast<double>(k + 1), -s) / mass;
+      const double d = hist[k] - expected;
+      chi2 += d * d / expected;
+    }
+    // Wilson–Hilferty upper quantile of chi-square(n - 1) at alpha = 1e-4.
+    const double df = static_cast<double>(n - 1);
+    const double t =
+        1.0 - 2.0 / (9.0 * df) + 3.719 * std::sqrt(2.0 / (9.0 * df));
+    EXPECT_LT(chi2, df * t * t * t);
+  }
+}
+
 TEST(Rng, ZipfZeroExponentIsUniformish) {
   Rng rng(14);
   std::vector<int> counts(8, 0);
