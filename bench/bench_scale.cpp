@@ -18,9 +18,9 @@
 //   * sub-millisecond mean per-decision latency at 16k ranks;
 //   * near-linear memory: cached-surface bytes grow at most 1.5x faster
 //     than the rank count across the sweep.
-// Every 64th decision is also cross-checked against the full-rescan twins
-// (evaluate_full_rescan, bottleneck_*_full_rescan) with exact equality —
-// the bench aborts on the first diverging bit (exit 3).
+// Every 64th decision is also cross-checked against the full-rescan oracle
+// (tests/rescan_oracle.hpp) with exact equality — the bench aborts on the
+// first diverging bit (exit 3).
 //
 // `--smoke` shrinks the sweep for sanitizer CI runs and skips the
 // *latency* gate (ASan/UBSan inflate wall clock several-fold); equality
@@ -36,6 +36,7 @@
 #include <random>
 #include <vector>
 
+#include "../tests/rescan_oracle.hpp"
 #include "balance/incremental.hpp"
 #include "bench_common.hpp"
 
@@ -51,7 +52,7 @@ struct SweepResult {
   double mean_us = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
-  double full_rescan_mean_us = 0.0;  ///< reference-twin cost, for contrast
+  double rescan_mean_us = 0.0;  ///< full-rescan oracle cost, for contrast
   double avg_touched_stages = 0.0;
   double total_plan_transfers = 0.0;
   std::size_t memory_bytes = 0;
@@ -141,17 +142,17 @@ SweepResult run_size(int stages, int decisions) {
     out.total_plan_transfers += static_cast<double>(ev.plan.transfers.size());
 
     if (d % 64 == 0) {
-      // Exact-equality cross-check against the reference twins, and a
-      // timed full rescan for the printed contrast column.
+      // Exact-equality cross-check against the full-rescan oracle, timed
+      // for the printed contrast column.
       const auto r0 = Clock::now();
-      const balance::SurfaceEval ref = surf.evaluate_full_rescan(cur);
+      const balance::SurfaceEval ref =
+          testing::evaluate_rescan(cur, cur, w, t, m, caps);
       const auto r1 = Clock::now();
       rescan_us_sum +=
           std::chrono::duration<double, std::micro>(r1 - r0).count();
       ++rescan_samples;
-      (void)ref;
-      if (surf.bottleneck_w() != surf.bottleneck_w_full_rescan() ||
-          surf.bottleneck_t() != surf.bottleneck_t_full_rescan()) {
+      if (surf.bottleneck_w() != ref.norm_w_before ||
+          surf.bottleneck_t() != ref.norm_t_before) {
         std::fprintf(stderr,
                      "FATAL: incremental bottleneck diverged from full "
                      "rescan at %d stages, decision %d\n",
@@ -170,7 +171,7 @@ SweepResult run_size(int stages, int decisions) {
   out.mean_us = sum / static_cast<double>(sorted.size());
   out.p50_us = sorted[sorted.size() / 2];
   out.p99_us = sorted[(sorted.size() * 99) / 100];
-  out.full_rescan_mean_us =
+  out.rescan_mean_us =
       rescan_samples > 0 ? rescan_us_sum / rescan_samples : 0.0;
   return out;
 }
@@ -199,7 +200,7 @@ int main(int argc, char** argv) {
     const auto& r = results.back();
     std::printf("%8d %8zu %10.2f %10.2f %10.2f %12.2f %12.2f %14.0f %12zu\n",
                 r.stages, r.layers, r.mean_us, r.p50_us, r.p99_us,
-                r.full_rescan_mean_us, r.avg_touched_stages,
+                r.rescan_mean_us, r.avg_touched_stages,
                 r.total_plan_transfers, r.memory_bytes);
   }
 

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/config.hpp"
 #include "dynmo/dynmo.hpp"
 #include "pipeline/trace.hpp"
 
@@ -57,29 +56,12 @@ runtime::BalancingMode parse_mode(const std::string& s) {
               "' (static|deepspeed|egeria|tutel|dynmo)");
 }
 
-void apply_config_file(CliArgs& args, const std::string& path) {
-  const Config cfg = Config::load(path);
-  const auto unknown = cfg.unknown_keys({"case", "layers", "stages", "dp",
-                                         "iterations", "stride", "interval",
-                                         "mode", "algo", "repack", "trace"});
-  DYNMO_CHECK(unknown.empty(),
-              "unknown config key '" << unknown.front() << "' in " << path);
-  if (cfg.contains("case")) args.use_case = parse_case(cfg.get_string("case"));
-  args.layers = static_cast<std::size_t>(
-      cfg.get_int("layers", static_cast<std::int64_t>(args.layers)));
-  args.stages = static_cast<int>(cfg.get_int("stages", args.stages));
-  args.data_parallel = static_cast<int>(cfg.get_int("dp", args.data_parallel));
-  args.iterations = cfg.get_int("iterations", args.iterations);
-  args.stride = cfg.get_int("stride", args.stride);
-  args.interval = cfg.get_int("interval", args.interval);
-  if (cfg.contains("mode")) args.mode = parse_mode(cfg.get_string("mode"));
-  if (cfg.contains("algo")) {
-    args.algo = cfg.get_string("algo") == "partition"
-                    ? balance::Algorithm::Partition
-                    : balance::Algorithm::Diffusion;
+balance::Algorithm parse_algo(const std::string& s) {
+  for (balance::Algorithm a :
+       {balance::Algorithm::Partition, balance::Algorithm::Diffusion}) {
+    if (s == balance::to_string(a)) return a;
   }
-  args.repack = cfg.get_bool("repack", args.repack);
-  args.trace_path = cfg.get_string("trace", args.trace_path);
+  throw Error("unknown --algo '" + s + "' (partition|diffusion)");
 }
 
 CliArgs parse(int argc, char** argv) {
@@ -90,9 +72,7 @@ CliArgs parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--config") {
-      apply_config_file(args, need_value(i));
-    } else if (flag == "--case") {
+    if (flag == "--case") {
       args.use_case = parse_case(need_value(i));
     } else if (flag == "--layers") {
       args.layers = std::stoul(need_value(i));
@@ -109,9 +89,7 @@ CliArgs parse(int argc, char** argv) {
     } else if (flag == "--mode") {
       args.mode = parse_mode(need_value(i));
     } else if (flag == "--algo") {
-      const auto v = need_value(i);
-      args.algo = v == "partition" ? balance::Algorithm::Partition
-                                   : balance::Algorithm::Diffusion;
+      args.algo = parse_algo(need_value(i));
     } else if (flag == "--repack") {
       args.repack = true;
     } else if (flag == "--trace") {
@@ -139,9 +117,7 @@ void usage() {
       "  --mode M        static|deepspeed|egeria|tutel|dynmo\n"
       "  --algo A        partition|diffusion (default diffusion)\n"
       "  --repack        enable elastic re-packing\n"
-      "  --trace PATH    write a Chrome-trace of one iteration\n"
-      "  --config PATH   read the same options from a key=value file\n"
-      "                  (later flags override the file)");
+      "  --trace PATH    write a Chrome-trace of one iteration");
 }
 
 }  // namespace

@@ -63,22 +63,6 @@ std::size_t MaxTree::memory_bytes() const {
          idx_.capacity() * sizeof(std::uint32_t);
 }
 
-double MaxTree::max_value_full_rescan() const {
-  DYNMO_CHECK(n_ > 0, "max of empty MaxTree");
-  return *std::max_element(val_.begin() + static_cast<std::ptrdiff_t>(cap_),
-                           val_.begin() +
-                               static_cast<std::ptrdiff_t>(cap_ + n_));
-}
-
-std::size_t MaxTree::argmax_full_rescan() const {
-  DYNMO_CHECK(n_ > 0, "argmax of empty MaxTree");
-  const auto first = val_.begin() + static_cast<std::ptrdiff_t>(cap_);
-  return static_cast<std::size_t>(
-      std::max_element(first,
-                       val_.begin() + static_cast<std::ptrdiff_t>(cap_ + n_)) -
-      first);
-}
-
 // --------------------------------------------------------- CostSurface
 
 double CostSurface::norm_w(std::size_t s) const {
@@ -191,26 +175,6 @@ void CostSurface::set_layer(std::size_t layer, double weight, double time_s,
                   map_.boundaries());
 }
 
-double CostSurface::bottleneck_w_full_rescan() const {
-  auto loads = map_.stage_loads(w_);
-  if (!caps_.empty()) {
-    for (std::size_t s = 0; s < loads.size(); ++s) {
-      loads[s] /= std::max(1e-12, caps_[s]);
-    }
-  }
-  return *std::max_element(loads.begin(), loads.end());
-}
-
-double CostSurface::bottleneck_t_full_rescan() const {
-  auto loads = map_.stage_loads(t_);
-  if (!caps_.empty()) {
-    for (std::size_t s = 0; s < loads.size(); ++s) {
-      loads[s] /= std::max(1e-12, caps_[s]);
-    }
-  }
-  return *std::max_element(loads.begin(), loads.end());
-}
-
 SurfaceEval CostSurface::evaluate(const pipeline::StageMap& candidate) {
   DYNMO_CHECK(!overlay_, "evaluate() with an uncommitted candidate overlay");
   DYNMO_CHECK(candidate.num_layers() == map_.num_layers(),
@@ -239,32 +203,6 @@ SurfaceEval CostSurface::evaluate(const pipeline::StageMap& candidate) {
   ev.norm_t_after = tree_t_.max_value();
   cand_ = candidate;
   overlay_ = true;
-  return ev;
-}
-
-SurfaceEval CostSurface::evaluate_full_rescan(
-    const pipeline::StageMap& candidate) const {
-  SurfaceEval ev;
-  const auto normalized_max = [&](const pipeline::StageMap& m,
-                                  std::span<const double> per_layer) {
-    auto loads = m.stage_loads(per_layer);
-    if (!caps_.empty()) {
-      DYNMO_CHECK(caps_.size() == loads.size(),
-                  "capacity vector covers " << caps_.size()
-                                            << " stages, map has "
-                                            << loads.size());
-      for (std::size_t s = 0; s < loads.size(); ++s) {
-        loads[s] /= std::max(1e-12, caps_[s]);
-      }
-    }
-    return *std::max_element(loads.begin(), loads.end());
-  };
-  ev.norm_w_before = normalized_max(map_, w_);
-  ev.norm_t_before = normalized_max(map_, t_);
-  ev.norm_w_after = normalized_max(candidate, w_);
-  ev.norm_t_after = normalized_max(candidate, t_);
-  ev.plan = plan_migration_full_rescan(map_, candidate, m_);
-  ev.touched_stages = static_cast<std::size_t>(map_.num_stages());
   return ev;
 }
 

@@ -31,9 +31,10 @@
 //      full diff; it merely skips the layers provably outside any
 //      boundary-difference interval (an integer argument, no FP involved).
 //
-// Every surface ships a *_full_rescan() reference twin, kept alive under
-// test: tests/test_incremental_cost.cpp drives randomized perturbation
-// streams through both paths and asserts exact (EXPECT_EQ) equality.
+// The naive rescan lives only with the tests (tests/rescan_oracle.hpp):
+// tests/test_incremental_cost.cpp drives randomized perturbation streams
+// through the surfaces and the oracle and asserts exact (EXPECT_EQ)
+// equality.
 #pragma once
 
 #include <cstddef>
@@ -68,11 +69,6 @@ class MaxTree {
   bool empty() const { return n_ == 0; }
   /// Heap footprint of the tree's arrays (near-linear-memory gate).
   std::size_t memory_bytes() const;
-
-  /// Reference twin: linear scan with std::max_element, kept alive so the
-  /// differential suite can oracle-check the root after every update.
-  double max_value_full_rescan() const;
-  std::size_t argmax_full_rescan() const;
 
  private:
   void pull(std::size_t node);
@@ -137,19 +133,11 @@ class CostSurface {
   /// Capacity-normalized bottleneck of the current map, O(1) off the tree.
   double bottleneck_w() const { return tree_w_.max_value(); }
   double bottleneck_t() const { return tree_t_.max_value(); }
-  /// Reference twins: naive O(L + S) rescan (StageMap::stage_loads +
-  /// std::max_element), kept alive under test.
-  double bottleneck_w_full_rescan() const;
-  double bottleneck_t_full_rescan() const;
 
   /// Price a candidate map incrementally: recompute only the stages whose
   /// boundaries moved, leaving an undo overlay in place.  Exactly one of
   /// commit()/rollback() must follow before the next evaluate()/sync().
   SurfaceEval evaluate(const pipeline::StageMap& candidate);
-  /// Reference twin: naive O(L + S) evaluation of the same candidate
-  /// (full stage_loads, std::max_element, full-diff migration plan).
-  /// Does not touch the cache.
-  SurfaceEval evaluate_full_rescan(const pipeline::StageMap& candidate) const;
 
   /// Adopt the last evaluated candidate as the current map.
   void commit();

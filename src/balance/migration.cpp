@@ -35,6 +35,21 @@ double bottleneck_rank_time(const std::vector<LayerTransfer>& transfers,
   return worst;
 }
 
+/// The full O(L) diff: every layer whose stage differs moves.
+MigrationPlan plan_every_layer(const pipeline::StageMap& before,
+                               const pipeline::StageMap& after,
+                               std::span<const double> state_bytes) {
+  MigrationPlan plan;
+  for (std::size_t l = 0; l < before.num_layers(); ++l) {
+    const int src = before.stage_of(l);
+    const int dst = after.stage_of(l);
+    if (src != dst) {
+      plan.transfers.push_back(LayerTransfer{l, src, dst, state_bytes[l]});
+    }
+  }
+  return plan;
+}
+
 }  // namespace
 
 double MigrationPlan::estimated_time_s(const comm::CostModel& net) const {
@@ -73,24 +88,6 @@ MigrationCost MigrationPlan::exposed_cost(
   return cost;
 }
 
-MigrationPlan plan_migration_full_rescan(const pipeline::StageMap& before,
-                                         const pipeline::StageMap& after,
-                                         std::span<const double> state_bytes) {
-  DYNMO_CHECK(before.num_layers() == after.num_layers(),
-              "stage maps cover different layer counts");
-  DYNMO_CHECK(state_bytes.size() == before.num_layers(),
-              "state_bytes size mismatch");
-  MigrationPlan plan;
-  for (std::size_t l = 0; l < before.num_layers(); ++l) {
-    const int src = before.stage_of(l);
-    const int dst = after.stage_of(l);
-    if (src != dst) {
-      plan.transfers.push_back(LayerTransfer{l, src, dst, state_bytes[l]});
-    }
-  }
-  return plan;
-}
-
 MigrationPlan plan_migration(const pipeline::StageMap& before,
                              const pipeline::StageMap& after,
                              std::span<const double> state_bytes) {
@@ -103,7 +100,7 @@ MigrationPlan plan_migration(const pipeline::StageMap& before,
   if (bb.size() != ab.size()) {
     // Stage counts differ: the interval argument does not apply, so diff
     // every layer (rare — only synthetic callers compare unequal shapes).
-    return plan_migration_full_rescan(before, after, state_bytes);
+    return plan_every_layer(before, after, state_bytes);
   }
   // A layer l outside every boundary-difference interval satisfies
   // b_s <= l ⇔ a_s <= l for all s, hence StageMap::stage_of (a pure

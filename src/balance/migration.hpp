@@ -61,17 +61,12 @@ struct MigrationPlan {
 /// inside a boundary-difference interval [min(b_s, a_s), max(b_s, a_s))
 /// can change stages (an integer argument on the sorted boundary vectors),
 /// so only those intervals are scanned — O(moved + changed-boundaries)
-/// instead of O(L).  The transfers are bit-identical, in the same
-/// ascending-layer order, as the full diff below; the differential suite
+/// instead of O(L); maps with different stage counts get the full O(L)
+/// diff.  The transfers are bit-identical, in the same ascending-layer
+/// order, as the full diff; the differential suite
 /// (tests/test_incremental_cost.cpp) holds the two to exact equality.
 MigrationPlan plan_migration(const pipeline::StageMap& before,
                              const pipeline::StageMap& after,
                              std::span<const double> state_bytes);
-
-/// Reference twin of plan_migration: the naive full O(L) sweep over every
-/// layer, kept alive under test as the differential oracle.
-MigrationPlan plan_migration_full_rescan(const pipeline::StageMap& before,
-                                         const pipeline::StageMap& after,
-                                         std::span<const double> state_bytes);
 
 }  // namespace dynmo::balance

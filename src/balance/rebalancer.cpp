@@ -1,6 +1,5 @@
 #include "balance/rebalancer.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "core/error.hpp"
@@ -24,106 +23,6 @@ const char* to_string(MapDecision d) {
     case MapDecision::RejectedPayoff: return "rejected_payoff";
   }
   return "?";
-}
-
-RebalanceOutcome Rebalancer::rebalance(
-    const LayerProfile& profile, const pipeline::StageMap& current) const {
-  if (cfg_.incremental) return rebalance_incremental(profile, current);
-  last_touched_ = 0;
-  return rebalance_full_rescan(profile, current);
-}
-
-RebalanceOutcome Rebalancer::rebalance_full_rescan(
-    const LayerProfile& profile, const pipeline::StageMap& current) const {
-  DYNMO_CHECK(profile.consistent(), "inconsistent profile");
-  DYNMO_CHECK(profile.num_layers() == current.num_layers(),
-              "profile covers " << profile.num_layers()
-                                << " layers, map covers "
-                                << current.num_layers());
-  const int S = current.num_stages();
-  const auto weights = balance_weights(profile, cfg_.by);
-
-  RebalanceOutcome out;
-  {
-    const auto loads = current.stage_loads(weights);
-    out.imbalance_before = load_imbalance(loads);
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  out.map = propose(weights, profile, current, out.diffusion);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  // Capacity-normalized per-stage bottleneck — what actually gates a
-  // (possibly heterogeneous) pipeline.
-  const auto normalized_max = [&](const pipeline::StageMap& m,
-                                  std::span<const double> per_layer) {
-    auto loads = m.stage_loads(per_layer);
-    if (!cfg_.capacities.empty()) {
-      DYNMO_CHECK(cfg_.capacities.size() == loads.size(),
-                  "capacity vector covers " << cfg_.capacities.size()
-                                            << " stages, map has "
-                                            << loads.size());
-      for (std::size_t s = 0; s < loads.size(); ++s) {
-        loads[s] /= std::max(1e-12, cfg_.capacities[s]);
-      }
-    }
-    return *std::max_element(loads.begin(), loads.end());
-  };
-
-  // Acceptance, step 1 — hysteresis: a new placement must promise a real
-  // bottleneck improvement (in the balancing weights' units), or we keep
-  // the current one.
-  const MigrationPlan candidate =
-      plan_migration(current, out.map, profile.memory_bytes);
-  out.candidate_bytes = candidate.total_bytes();
-  if (!candidate.empty() &&
-      normalized_max(out.map, weights) >
-          normalized_max(current, weights) *
-              (1.0 - cfg_.min_bottleneck_gain)) {
-    out.map = current;
-    out.decision = MapDecision::RejectedBottleneck;
-  }
-
-  // Acceptance, step 2 — payoff window: the improvement must also amortize
-  // the migration's exposed transfer cost within the configured number of
-  // iterations.  The gain is measured on the profile's *time* loads
-  // (seconds even when balancing by parameters); the cost is the plan's
-  // per-rank bottleneck over the actual deployment links, mirrored across
-  // DP replicas and discounted by backprop overlap.
-  if (out.decision == MapDecision::Accepted && !candidate.empty()) {
-    out.projected_gain_s = normalized_max(current, profile.time_s) -
-                           normalized_max(out.map, profile.time_s);
-    const MigrationCost priced =
-        candidate.exposed_cost(net_, cfg_.stage_to_rank);
-    out.exposed_cost_s = priced.time_s * cfg_.migration_cost_multiplier *
-                         cfg_.migration_exposed_fraction;
-    if (cfg_.payoff_window_iters > 0.0 &&
-        out.projected_gain_s * cfg_.payoff_window_iters <
-            out.exposed_cost_s) {
-      out.map = current;
-      out.decision = MapDecision::RejectedPayoff;
-    }
-  }
-
-  out.overhead.decide_s =
-      std::chrono::duration<double>(t1 - t0).count();
-  out.overhead.profile_s =
-      cfg_.profile_cost_per_layer_s *
-          static_cast<double>(profile.num_layers()) +
-      cfg_.profile_cost_per_worker_s * static_cast<double>(S);
-
-  out.migration =
-      out.decision == MapDecision::Accepted ? candidate : MigrationPlan{};
-  out.overhead.migrate_s =
-      cfg_.stage_to_rank.empty()
-          ? out.migration.estimated_time_s(net_)
-          : out.migration.estimated_time_s(net_, cfg_.stage_to_rank);
-
-  {
-    const auto loads = out.map.stage_loads(weights);
-    out.imbalance_after = load_imbalance(loads);
-  }
-  return out;
 }
 
 pipeline::StageMap Rebalancer::propose(
@@ -159,7 +58,7 @@ pipeline::StageMap Rebalancer::propose(
   return current;  // unreachable
 }
 
-RebalanceOutcome Rebalancer::rebalance_incremental(
+RebalanceOutcome Rebalancer::rebalance(
     const LayerProfile& profile, const pipeline::StageMap& current) const {
   DYNMO_CHECK(profile.consistent(), "inconsistent profile");
   DYNMO_CHECK(profile.num_layers() == current.num_layers(),
@@ -185,11 +84,14 @@ RebalanceOutcome Rebalancer::rebalance_incremental(
   // Acceptance on the cached surface: the candidate is priced by
   // re-summing only the stages its boundary moves touch, the bottlenecks
   // are O(1) tournament-tree roots, and the migration diff scans only the
-  // boundary-difference intervals.  Values are bit-identical to the
-  // rescan path (see RebalanceConfig::incremental).
+  // boundary-difference intervals.  Values are bit-identical to a full
+  // rescan (tests/rescan_oracle.hpp).
   SurfaceEval ev = surface_.evaluate(out.map);
   last_touched_ += ev.touched_stages;
   out.candidate_bytes = ev.plan.total_bytes();
+  // Step 1 — hysteresis: a new placement must promise a real bottleneck
+  // improvement (in the balancing weights' units), or we keep the current
+  // one.
   if (!ev.plan.empty() &&
       ev.norm_w_after >
           ev.norm_w_before * (1.0 - cfg_.min_bottleneck_gain)) {
@@ -197,6 +99,12 @@ RebalanceOutcome Rebalancer::rebalance_incremental(
     out.decision = MapDecision::RejectedBottleneck;
   }
 
+  // Step 2 — payoff window: the improvement must also amortize the
+  // migration's exposed transfer cost within the configured number of
+  // iterations.  The gain is measured on the profile's *time* loads
+  // (seconds even when balancing by parameters); the cost is the plan's
+  // per-rank bottleneck over the actual deployment links, mirrored across
+  // DP replicas and discounted by backprop overlap.
   if (out.decision == MapDecision::Accepted && !ev.plan.empty()) {
     out.projected_gain_s = ev.norm_t_before - ev.norm_t_after;
     const MigrationCost priced =

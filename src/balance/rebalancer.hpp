@@ -81,15 +81,6 @@ struct RebalanceConfig {
   std::function<pipeline::StageMap(const DiffusionRequest&,
                                    const pipeline::StageMap&)>
       hierarchical_decider{};
-  /// Incremental decision path (default): the acceptance math — per-stage
-  /// load sums, capacity-normalized bottlenecks, migration diff — is
-  /// served from a balance::CostSurface that re-sums only the stages a
-  /// profile change or candidate move touches, instead of re-pricing the
-  /// whole grid per decision.  Proven *bit-identical* to the naive full
-  /// rescan (Rebalancer::rebalance_full_rescan) by the differential suite
-  /// in tests/test_incremental_cost.cpp, including session-level telemetry
-  /// byte-equality; false forces the reference path.
-  bool incremental = true;
 };
 
 struct OverheadBreakdown {
@@ -140,31 +131,23 @@ class Rebalancer {
       : cfg_(cfg), net_(net) {}
 
   /// Decide a new stage map from the profile; compute migration plan and
-  /// overheads relative to `current`.  Dispatches on
-  /// RebalanceConfig::incremental: the cached decision path by default,
-  /// the naive rescan otherwise — with identical outcomes either way.
+  /// overheads relative to `current`.  The acceptance math (per-stage load
+  /// sums, capacity-normalized bottlenecks, migration diff) is served from
+  /// a balance::CostSurface carried across calls, which re-sums only the
+  /// stages a profile change or candidate move touches.  Every outcome is
+  /// bit-identical to a full rescan of the grid; tests/rescan_oracle.hpp
+  /// holds that rescan and tests/test_incremental_cost.cpp the proof.
   RebalanceOutcome rebalance(const LayerProfile& profile,
                              const pipeline::StageMap& current) const;
 
-  /// Reference twin: the naive decision path that re-prices every stage
-  /// from scratch (full stage_loads + std::max_element + O(L) migration
-  /// diff per decision).  Kept alive under test as the differential
-  /// oracle for the incremental path.
-  RebalanceOutcome rebalance_full_rescan(
-      const LayerProfile& profile, const pipeline::StageMap& current) const;
-
   const RebalanceConfig& config() const { return cfg_; }
 
-  /// Stages the cached decision path re-summed at the last rebalance()
-  /// (profile sync + candidate evaluation) — observability for the
-  /// bench_scale work counters; 0 after a full-rescan dispatch.
+  /// Stages the decision path re-summed at the last rebalance() (profile
+  /// sync + candidate evaluation) — observability for work counters.
   std::size_t last_touched_stages() const { return last_touched_; }
 
  private:
-  RebalanceOutcome rebalance_incremental(
-      const LayerProfile& profile, const pipeline::StageMap& current) const;
-  /// Candidate generation (the configured balancing algorithm), shared by
-  /// both decision paths so they evaluate the identical candidate map.
+  /// Candidate generation: the configured balancing algorithm.
   pipeline::StageMap propose(std::span<const double> weights,
                              const LayerProfile& profile,
                              const pipeline::StageMap& current,

@@ -142,8 +142,7 @@ const hw::GpuSpec& Deployment::gpu(int dp, int stage) const {
 
 int Deployment::node(int stage) const { return topo_->node_of(rank(stage)); }
 
-comm::LinkParams Deployment::link_full_rescan(int stage_a,
-                                              int stage_b) const {
+comm::LinkParams Deployment::derive_link(int stage_a, int stage_b) const {
   const int a = rank(stage_a);
   const int b = rank(stage_b);
   if (a == b) return {0.0, std::numeric_limits<double>::infinity()};
@@ -163,7 +162,7 @@ comm::LinkParams Deployment::link(int stage_a, int stage_b) const {
     return it->second;
   }
   ++c.resolver_calls;
-  const comm::LinkParams lp = link_full_rescan(stage_a, stage_b);
+  const comm::LinkParams lp = derive_link(stage_a, stage_b);
   c.link.emplace(key, lp);
   return lp;
 }
@@ -177,13 +176,12 @@ comm::RankGroup Deployment::group(std::span<const int> ranks) const {
     return it->second;
   }
   ++c.resolver_calls;
-  const comm::RankGroup g = group_full_rescan(ranks);
+  const comm::RankGroup g = derive_group(ranks);
   c.group.emplace(std::move(key), g);
   return g;
 }
 
-comm::RankGroup Deployment::group_full_rescan(
-    std::span<const int> ranks) const {
+comm::RankGroup Deployment::derive_group(std::span<const int> ranks) const {
   comm::RankGroup g;
   g.intra = default_link(LinkType::NvLink).params();
   g.inter = default_link(LinkType::InfiniBand).params();
@@ -234,7 +232,7 @@ std::vector<double> Deployment::stage_capacities() const {
   ++c.lookups;
   if (!c.stage_caps) {
     ++c.resolver_calls;
-    c.stage_caps = stage_capacities_full_rescan();
+    c.stage_caps = derive_stage_capacities();
   }
   return *c.stage_caps;
 }
@@ -245,7 +243,7 @@ Deployment::CacheStats Deployment::cache_stats() const {
   return CacheStats{c.lookups, c.resolver_calls};
 }
 
-std::vector<double> Deployment::stage_capacities_full_rescan() const {
+std::vector<double> Deployment::derive_stage_capacities() const {
   const auto s2r = stage_to_rank();
   std::vector<double> cap(s2r.size(), 1.0);
   double max_speed = 0.0;

@@ -111,9 +111,6 @@ class Deployment {
   /// shortest-path resolver and every repeat returns the stored value —
   /// O(1) instead of a Dijkstra per call.  Thread-safe (mutex-guarded).
   comm::LinkParams link(int stage_a, int stage_b) const;
-  /// Reference twin of link(): always re-derives the shortest path, kept
-  /// alive under test to prove cached lookups return identical objects.
-  comm::LinkParams link_full_rescan(int stage_a, int stage_b) const;
 
   /// Node-grouped membership of a set of global ranks, with intra/inter
   /// links taken from the topology (worst member intra link, worst
@@ -121,8 +118,6 @@ class Deployment {
   /// formulas of comm::CostModel.  Memoized per rank set (the derivation
   /// runs a shortest path per node pair; repeats are O(log) map hits).
   comm::RankGroup group(std::span<const int> ranks) const;
-  /// Reference twin of group(): always re-derives the membership.
-  comm::RankGroup group_full_rescan(std::span<const int> ranks) const;
   /// group() over the dp = 0 replica's stage-hosting ranks.
   comm::RankGroup stage_group() const;
   /// group() over a stage's DP peers {rank(0, s), ..., rank(dp-1, s)} —
@@ -136,8 +131,6 @@ class Deployment {
   /// the fastest stage is 1.0 — the capacity weights heterogeneous
   /// balancing uses.  Memoized: derived once, copied out thereafter.
   std::vector<double> stage_capacities() const;
-  /// Reference twin of stage_capacities(): always re-derives.
-  std::vector<double> stage_capacities_full_rescan() const;
   /// Smallest device memory across the whole grid — the conservative
   /// per-worker cap re-packing and balancing enforce.
   double min_mem_capacity() const;
@@ -166,6 +159,11 @@ class Deployment {
 
   Deployment(std::shared_ptr<const Topology> topo, int data_parallel,
              std::vector<int> grid_to_rank);
+
+  /// Cache-miss derivations behind link(), group() and stage_capacities().
+  comm::LinkParams derive_link(int stage_a, int stage_b) const;
+  comm::RankGroup derive_group(std::span<const int> ranks) const;
+  std::vector<double> derive_stage_capacities() const;
 
   std::shared_ptr<const Topology> topo_;
   int dp_ = 1;

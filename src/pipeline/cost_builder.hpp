@@ -58,10 +58,6 @@ class CostBuilder {
   /// layer's LayerState differing from the cached snapshot.
   std::vector<model::LayerTimes> layer_times(
       std::span<const model::LayerState> states) const;
-  /// Reference twin of layer_times(): always re-evaluates the cost model,
-  /// kept alive under test as the differential oracle for the memo.
-  std::vector<model::LayerTimes> layer_times_full_rescan(
-      std::span<const model::LayerState> states) const;
 
   /// Per-layer total (fwd+bwd) seconds — the balancers' by-time weights.
   std::vector<double> layer_total_seconds(
@@ -72,9 +68,6 @@ class CostBuilder {
   /// per layer on (LayerState, resident microbatches) — a layer re-prices
   /// only when its state or its stage-depth-derived residency changed.
   std::vector<double> layer_memory_bytes(
-      std::span<const model::LayerState> states, const StageMap& map) const;
-  /// Reference twin of layer_memory_bytes(): always re-evaluates.
-  std::vector<double> layer_memory_bytes_full_rescan(
       std::span<const model::LayerState> states, const StageMap& map) const;
 
   /// Assemble the full StageCosts table for one iteration: compute per

@@ -436,7 +436,6 @@ void TrainingSession::start() {
   rb_cfg.mem_capacity = R.mem_capacity;
   rb_cfg.min_bottleneck_gain = cfg_.min_bottleneck_gain;
   rb_cfg.payoff_window_iters = cfg_.payoff_window_iters;
-  rb_cfg.incremental = cfg_.incremental_decisions;
   // Every replica transfers its own copy of a migrated layer and the
   // copies contend for the same links, so the priced cost scales with the
   // DP width; every-iteration cadences hide most of the transfer under

@@ -98,15 +98,6 @@ struct SessionConfig {
   /// cover the transfer stall.  0 → bottleneck-only hysteresis (the
   /// pre-payoff behavior).
   double payoff_window_iters = 0.0;
-  /// Route rebalance decisions through the incremental cost surface
-  /// (balance::RebalanceConfig::incremental): cached per-stage terms plus
-  /// an indexed max replace the O(stages) rescans at each decision point.
-  /// Contract: decisions, bottlenecks, priced costs and telemetry are
-  /// bit-identical either way (tests/test_incremental_cost.cpp proves it),
-  /// so this is a pure performance switch and is deliberately *not*
-  /// recorded in the telemetry catalog — traces from both paths must stay
-  /// byte-equal (tools/check_golden_trace.sh gates it).
-  bool incremental_decisions = true;
   /// Two-level balancer knobs for Algorithm::HierarchicalDiffusion.  When
   /// its payoff fields are left at their defaults, the session fills them
   /// in from `payoff_window_iters` (time balancing only — the hier gain is

@@ -1,6 +1,7 @@
 #include "telemetry/trace_reader.hpp"
 
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "core/error.hpp"
@@ -61,6 +62,23 @@ std::vector<int> int_list(const JsonValue& v) {
   out.reserve(v.array.size());
   for (const auto& e : v.array) out.push_back(static_cast<int>(e.as_int()));
   return out;
+}
+
+/// The option whose to_string() is `value`.  An unknown name (a corrupted
+/// or newer trace) throws rather than replaying as some other option,
+/// which would answer a what-if silently wrong.
+template <typename Enum>
+Enum parse_run_field(const std::string& dir, const char* field,
+                     const std::string& value,
+                     std::initializer_list<Enum> options) {
+  std::string known;
+  for (const Enum option : options) {
+    if (value == to_string(option)) return option;
+    known += known.empty() ? "" : "|";
+    known += to_string(option);
+  }
+  throw Error(dir + "/catalog.json: run." + field + " '" + value +
+              "' is not one of " + known);
 }
 
 }  // namespace
@@ -323,17 +341,13 @@ balance::ReplayConfig TraceReader::replay_config() const {
   cfg.params = r.layer_params;
 
   balance::RebalanceConfig& rb = cfg.rebalance;
-  if (r.algorithm == to_string(balance::Algorithm::Partition)) {
-    rb.algorithm = balance::Algorithm::Partition;
-  } else if (r.algorithm ==
-             to_string(balance::Algorithm::HierarchicalDiffusion)) {
-    rb.algorithm = balance::Algorithm::HierarchicalDiffusion;
-  } else {
-    rb.algorithm = balance::Algorithm::Diffusion;
-  }
-  rb.by = r.balance_by == to_string(balance::BalanceBy::Param)
-              ? balance::BalanceBy::Param
-              : balance::BalanceBy::Time;
+  rb.algorithm = parse_run_field(dir_, "algorithm", r.algorithm,
+                                 {balance::Algorithm::Partition,
+                                  balance::Algorithm::Diffusion,
+                                  balance::Algorithm::HierarchicalDiffusion});
+  rb.by = parse_run_field(dir_, "balance_by", r.balance_by,
+                          {balance::BalanceBy::Time,
+                           balance::BalanceBy::Param});
   rb.mem_capacity = r.mem_capacity;
   rb.gamma = r.gamma;
   rb.min_bottleneck_gain = r.min_bottleneck_gain;

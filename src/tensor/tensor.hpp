@@ -1,8 +1,9 @@
 // Minimal owning dense matrix/vector types.
 //
 // These are *real* tensors (not cost-model stand-ins): the threaded runtime
-// executes small GEMMs through them, distributed global pruning compresses
-// them into CSR, and layer migration moves their buffers between workers.
+// executes small GEMMs through them, distributed global pruning zeroes
+// their pruned entries in place, and layer migration moves their buffers
+// between workers.
 // Row-major float32 throughout; RAII ownership (no raw new/delete).
 #pragma once
 

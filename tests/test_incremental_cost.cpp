@@ -1,45 +1,55 @@
 // Differential suite for the incremental decision path (docs/COST_MODEL.md
 // "Incremental recomputation").
 //
-// Every incremental surface ships a *_full_rescan() reference twin, and
-// the contract is *exact* equality — EXPECT_EQ on doubles, not EXPECT_NEAR:
-// the cached path must produce the very bits the naive rescan produces, so
-// no decision, bottleneck, priced cost, or telemetry byte can drift.  The
-// suite drives thousands of randomized perturbations through both paths in
-// lockstep (tests/diff_check.hpp) at every level of the stack:
+// Production serves every decision-point query from caches; the naive
+// rescans they replace live in tests/rescan_oracle.hpp.  The contract is
+// *exact* equality — EXPECT_EQ on doubles, not EXPECT_NEAR: the cached
+// path must produce the very bits the rescan produces, so no decision,
+// bottleneck, priced cost, or telemetry byte can drift.  The suite drives
+// thousands of randomized perturbations through both in lockstep
+// (tests/diff_check.hpp) at every level of the stack:
 //
-//   MaxTree          vs std::max_element            (indexed-max stress)
+//   MaxTree          vs std::max_element over a shadow vector
 //   stage_of         vs the linear boundary scan
 //   plan_migration   vs the full O(L) diff
 //   CostSurface      vs naive stage_loads + max per perturbation
-//   Rebalancer       incremental vs rebalance_full_rescan, decisions and
-//                    all priced numbers
+//   Rebalancer       one long-lived instance vs the stateless rescan, on
+//                    every outcome field but the measured decide_s:
+//                    Partition, Diffusion and HierarchicalDiffusion
+//                    streams with stage-count and capacity changes, and
+//                    the recorded load histories of the session and
+//                    large_grid goldens
 //   CostBuilder      memoized layer pricing vs full re-evaluation
-//   Deployment       cached link/group/capacity lookups vs re-derivation,
-//                    plus the resolver-call regression counter
-//   TrainingSession  golden-trace proof: a full session run with the
-//                    incremental path ON emits byte-identical telemetry
-//                    tables to the same run with it OFF
+//   Deployment       warmed link/group/capacity lookups vs the cache-miss
+//                    lookups of a fresh deployment, plus the resolver-call
+//                    regression counter
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "balance/incremental.hpp"
 #include "balance/migration.hpp"
 #include "balance/rebalancer.hpp"
 #include "cluster/deployment.hpp"
+#include "cluster/hier_balancer.hpp"
+#include "cluster/topology.hpp"
+#include "core/rng.hpp"
 #include "diff_check.hpp"
 #include "dynmo/dynmo.hpp"
 #include "pipeline/cost_builder.hpp"
 #include "pipeline/stage_map.hpp"
+#include "rescan_oracle.hpp"
+#include "telemetry/trace_reader.hpp"
 
 namespace dynmo {
 namespace {
@@ -75,8 +85,7 @@ TEST(MaxTree, RandomizedStressVsMaxElementOracle) {
   // 10k ops per seed, several seeds: point updates (with a small discrete
   // value pool so exact ties are frequent), removals modeled as -inf, and
   // occasional full rebuilds at a new size.  After every op the tree's O(1)
-  // root must equal both its own full-rescan twin and an independent
-  // std::max_element over a shadow vector.
+  // root must equal std::max_element over a shadow vector.
   for (const std::uint64_t seed : {0x11u, 0x22u, 0x33u, 0x44u, 0x55u}) {
     std::mt19937_64 rng(seed);
     std::vector<double> shadow(1 + rng() % 257);
@@ -104,8 +113,6 @@ TEST(MaxTree, RandomizedStressVsMaxElementOracle) {
       ASSERT_EQ(tree.argmax(),
                 static_cast<std::size_t>(oracle - shadow.begin()))
           << "seed " << seed << " op " << op;
-      ASSERT_EQ(tree.max_value(), tree.max_value_full_rescan());
-      ASSERT_EQ(tree.argmax(), tree.argmax_full_rescan());
       const std::size_t probe = rng() % shadow.size();
       ASSERT_EQ(tree.get(probe), shadow[probe]);
     }
@@ -132,7 +139,7 @@ TEST(StageOf, BinarySearchMatchesLinearScan) {
     const int stages = 1 + static_cast<int>(rng() % 12);
     const StageMap map = random_map(rng, layers, stages);
     for (std::size_t l = 0; l < layers; ++l) {
-      ASSERT_EQ(map.stage_of(l), map.stage_of_full_rescan(l))
+      ASSERT_EQ(map.stage_of(l), testing::stage_of_rescan(map, l))
           << map.to_string() << " layer " << l;
     }
   }
@@ -155,7 +162,7 @@ TEST(PlanMigration, IntervalScanMatchesFullDiff) {
     std::vector<double> bytes(layers);
     for (auto& x : bytes) x = static_cast<double>(rng() % 1000) * 1e6;
     const auto inc = balance::plan_migration(before, after, bytes);
-    const auto ref = balance::plan_migration_full_rescan(before, after, bytes);
+    const auto ref = testing::plan_migration_rescan(before, after, bytes);
     ASSERT_EQ(inc.transfers.size(), ref.transfers.size())
         << before.to_string() << " -> " << after.to_string();
     for (std::size_t i = 0; i < ref.transfers.size(); ++i) {
@@ -198,9 +205,9 @@ TEST(CostSurface, LockstepDifferentialUnderRandomPerturbations) {
   // Thousands of randomized perturbations per seed: profile mutations
   // (sync), capacity changes (full reset), stage-count changes ("topology"
   // reshapes), and candidate evaluations with random commit/rollback.
-  // After every step the cached bottlenecks must equal the naive rescan
-  // twins bit-for-bit, and evaluate() must agree with
-  // evaluate_full_rescan() on every field.
+  // After every step the cached bottlenecks must equal the oracle's
+  // normalized bottlenecks bit-for-bit, and evaluate() must agree with
+  // testing::evaluate_rescan() on every field.
   for (const std::uint64_t seed : {0xa1u, 0xb2u, 0xc3u}) {
     const std::size_t layers = 48;
     std::vector<double> w(layers), t(layers), m(layers);
@@ -253,7 +260,8 @@ TEST(CostSurface, LockstepDifferentialUnderRandomPerturbations) {
           const StageMap cand = jiggle(rng, cur);
           const bool adopt = rng() % 2 == 0;
           balance::SurfaceEval inc = surf.evaluate(cand);
-          const balance::SurfaceEval ref = surf.evaluate_full_rescan(cand);
+          const balance::SurfaceEval ref =
+              testing::evaluate_rescan(cur, cand, w, t, m, caps);
           std::ostringstream os;
           if (inc.norm_w_before != ref.norm_w_before)
             os << "norm_w_before " << inc.norm_w_before << " vs "
@@ -294,16 +302,18 @@ TEST(CostSurface, LockstepDifferentialUnderRandomPerturbations) {
     };
     const auto compare = [&](int) -> std::optional<std::string> {
       if (!last_eval_diff.empty()) return "evaluate(): " + last_eval_diff;
-      if (surf.bottleneck_w() != surf.bottleneck_w_full_rescan()) {
+      const double ref_bw = testing::normalized_bottleneck(cur, w, caps);
+      if (surf.bottleneck_w() != ref_bw) {
         std::ostringstream os;
         os << "bottleneck_w " << surf.bottleneck_w() << " != rescan "
-           << surf.bottleneck_w_full_rescan();
+           << ref_bw;
         return os.str();
       }
-      if (surf.bottleneck_t() != surf.bottleneck_t_full_rescan()) {
+      const double ref_bt = testing::normalized_bottleneck(cur, t, caps);
+      if (surf.bottleneck_t() != ref_bt) {
         std::ostringstream os;
         os << "bottleneck_t " << surf.bottleneck_t() << " != rescan "
-           << surf.bottleneck_t_full_rescan();
+           << ref_bt;
         return os.str();
       }
       // The cached per-stage sums must be the exact stage_loads values.
@@ -325,127 +335,345 @@ TEST(CostSurface, LockstepDifferentialUnderRandomPerturbations) {
 }
 
 // ---------------------------------------------------------------------------
-// Rebalancer: the incremental dispatch vs the full-rescan reference on the
-// same evolving profile stream — every decision and every priced number.
+// Rebalancer: one long-lived production instance (its CostSurface carried
+// across decisions) vs the stateless full-rescan oracle on the same profile
+// stream — every outcome field except the measured decide_s.
 
-TEST(RebalancerDifferential, IncrementalMatchesFullRescanOverStream) {
-  for (const auto algorithm :
-       {balance::Algorithm::Partition, balance::Algorithm::Diffusion}) {
-    for (const bool heterogeneous : {false, true}) {
-      balance::RebalanceConfig cfg;
-      cfg.algorithm = algorithm;
-      cfg.by = balance::BalanceBy::Time;
-      cfg.min_bottleneck_gain = 0.02;
-      cfg.payoff_window_iters = 10.0;
-      const int stages = 8;
-      if (heterogeneous) {
-        cfg.capacities.assign(stages, 1.0);
-        for (int s = 0; s < stages; s += 2) {
-          cfg.capacities[static_cast<std::size_t>(s)] = 0.5;
-        }
-        cfg.stage_to_rank.resize(stages);
-        for (int s = 0; s < stages; ++s) {
-          cfg.stage_to_rank[static_cast<std::size_t>(s)] = stages - 1 - s;
-        }
-      }
-      cfg.incremental = true;
-      const balance::Rebalancer inc(cfg, comm::CostModel{});
-      cfg.incremental = false;
-      const balance::Rebalancer ref(cfg, comm::CostModel{});
-
-      std::mt19937_64 rng(0xd1f0 + (heterogeneous ? 1 : 0) +
-                          (algorithm == balance::Algorithm::Diffusion ? 2
-                                                                      : 0));
-      const std::size_t layers = 32;
-      balance::LayerProfile prof;
-      prof.time_s.assign(layers, 1.0);
-      prof.memory_bytes.assign(layers, 1e6);
-      prof.params.assign(layers, 100.0);
-      StageMap cur_inc = StageMap::uniform(layers, stages);
-      StageMap cur_ref = cur_inc;
-      for (int iter = 0; iter < 60; ++iter) {
-        // Random-walk the profile: a few layers drift each step, like a
-        // dynamism engine shifting load.
-        const int n = 1 + static_cast<int>(rng() % 5);
-        for (int i = 0; i < n; ++i) {
-          const std::size_t l = rng() % layers;
-          prof.time_s[l] = 0.1 + static_cast<double>(rng() % 200) * 0.01;
-          prof.memory_bytes[l] = static_cast<double>(1 + rng() % 64) * 1e6;
-        }
-        const auto a = inc.rebalance(prof, cur_inc);
-        const auto b = ref.rebalance_full_rescan(prof, cur_ref);
-        ASSERT_EQ(a.map, b.map) << "iter " << iter;
-        ASSERT_EQ(a.decision, b.decision) << "iter " << iter;
-        ASSERT_EQ(a.imbalance_before, b.imbalance_before) << "iter " << iter;
-        ASSERT_EQ(a.imbalance_after, b.imbalance_after) << "iter " << iter;
-        ASSERT_EQ(a.projected_gain_s, b.projected_gain_s) << "iter " << iter;
-        ASSERT_EQ(a.exposed_cost_s, b.exposed_cost_s) << "iter " << iter;
-        ASSERT_EQ(a.candidate_bytes, b.candidate_bytes) << "iter " << iter;
-        ASSERT_EQ(a.overhead.profile_s, b.overhead.profile_s);
-        ASSERT_EQ(a.overhead.migrate_s, b.overhead.migrate_s);
-        // decide_s is measured wall clock — the one field that may differ.
-        ASSERT_EQ(a.migration.transfers.size(), b.migration.transfers.size());
-        for (std::size_t i = 0; i < a.migration.transfers.size(); ++i) {
-          ASSERT_EQ(a.migration.transfers[i].layer,
-                    b.migration.transfers[i].layer);
-          ASSERT_EQ(a.migration.transfers[i].src_stage,
-                    b.migration.transfers[i].src_stage);
-          ASSERT_EQ(a.migration.transfers[i].dst_stage,
-                    b.migration.transfers[i].dst_stage);
-          ASSERT_EQ(a.migration.transfers[i].bytes,
-                    b.migration.transfers[i].bytes);
-        }
-        cur_inc = a.map;
-        cur_ref = b.map;
+std::optional<std::string> outcome_diff(const balance::RebalanceOutcome& a,
+                                        const balance::RebalanceOutcome& b) {
+  std::ostringstream os;
+  const auto field = [&](const char* name, auto x, auto y) {
+    if (!(x == y)) os << name << " " << x << " vs " << y << "; ";
+  };
+  if (!(a.map == b.map)) {
+    os << "map " << a.map.to_string() << " vs " << b.map.to_string() << "; ";
+  }
+  field("decision", balance::to_string(a.decision),
+        balance::to_string(b.decision));
+  field("imbalance_before", a.imbalance_before, b.imbalance_before);
+  field("imbalance_after", a.imbalance_after, b.imbalance_after);
+  field("projected_gain_s", a.projected_gain_s, b.projected_gain_s);
+  field("exposed_cost_s", a.exposed_cost_s, b.exposed_cost_s);
+  field("candidate_bytes", a.candidate_bytes, b.candidate_bytes);
+  field("profile_s", a.overhead.profile_s, b.overhead.profile_s);
+  field("migrate_s", a.overhead.migrate_s, b.overhead.migrate_s);
+  // decide_s is measured wall clock — the one field that may differ.
+  const auto& ta = a.migration.transfers;
+  const auto& tb = b.migration.transfers;
+  if (ta.size() != tb.size()) {
+    os << "migration size " << ta.size() << " vs " << tb.size() << "; ";
+  } else {
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+      if (ta[i].layer != tb[i].layer || ta[i].src_stage != tb[i].src_stage ||
+          ta[i].dst_stage != tb[i].dst_stage || ta[i].bytes != tb[i].bytes) {
+        os << "migration[" << i << "] differs; ";
+        break;
       }
     }
+  }
+  if (a.diffusion.has_value() != b.diffusion.has_value()) {
+    os << "diffusion set on one side only; ";
+  } else if (a.diffusion) {
+    const auto& da = *a.diffusion;
+    const auto& db = *b.diffusion;
+    if (!(da.map == db.map) || da.rounds != db.rounds ||
+        da.layer_moves != db.layer_moves || da.converged != db.converged ||
+        da.phi_history != db.phi_history) {
+      os << "diffusion result differs; ";
+    }
+  }
+  if (os.str().empty()) return std::nullopt;
+  return os.str();
+}
+
+struct DecisionCounts {
+  int decisions = 0;
+  int accepted_moves = 0;  ///< Accepted with a non-empty migration
+  int rejected_bottleneck = 0;
+  int rejected_payoff = 0;
+  int full_resets = 0;  ///< stage-count changes absorbed by one instance
+
+  void add(const balance::RebalanceOutcome& o) {
+    ++decisions;
+    switch (o.decision) {
+      case balance::MapDecision::Accepted:
+        if (!o.migration.empty()) ++accepted_moves;
+        break;
+      case balance::MapDecision::RejectedBottleneck:
+        ++rejected_bottleneck;
+        break;
+      case balance::MapDecision::RejectedPayoff:
+        ++rejected_payoff;
+        break;
+    }
+  }
+};
+
+// One lockstep stream.  Every decision draws a drift of a few layers'
+// time and state bytes (a dynamism engine shifting load), then rebalances
+// through the production instance and the oracle from the same current
+// map.  `reshape(rng, decision)` may return a new stage map, which the
+// stream adopts as current before the decision (a re-pack or elastic
+// transition); `recapacitate(rng, decision, cfg)` may change the config's
+// capacities, which — like TrainingSession::make_rebalancer — builds a new
+// production instance from the updated config.
+// Streams start from 8 uniform stages over 32 layers of ~1 ms each and
+// run 400 decisions.
+constexpr std::size_t kStreamLayers = 32;
+constexpr int kStreamDecisions = 400;
+
+struct Stream {
+  balance::RebalanceConfig cfg;
+  comm::CostModel net;
+  std::function<std::optional<StageMap>(std::mt19937_64&, int)> reshape;
+  std::function<bool(std::mt19937_64&, int, balance::RebalanceConfig&)>
+      recapacitate;
+};
+
+DecisionCounts run_stream(const Stream& st, std::uint64_t seed) {
+  balance::RebalanceConfig cfg = st.cfg;
+  std::optional<balance::Rebalancer> prod;
+  prod.emplace(cfg, st.net);
+  balance::LayerProfile prof;
+  prof.time_s.assign(kStreamLayers, 1e-3);
+  prof.memory_bytes.assign(kStreamLayers, 16e6);
+  prof.params.assign(kStreamLayers, 100.0);
+  StageMap cur = StageMap::uniform(kStreamLayers, 8);
+  DecisionCounts counts;
+  balance::RebalanceOutcome last_prod, last_ref;
+
+  const auto perturb = [&](std::mt19937_64& rng, int d) {
+    const int n = 1 + static_cast<int>(rng() % 5);
+    for (int i = 0; i < n; ++i) {
+      const std::size_t l = rng() % kStreamLayers;
+      prof.time_s[l] = (0.1 + static_cast<double>(rng() % 200) * 0.01) * 1e-3;
+      prof.memory_bytes[l] = static_cast<double>(1 + rng() % 64) * 1e6;
+    }
+    bool reset = false;
+    if (st.reshape) {
+      if (auto m = st.reshape(rng, d)) {
+        reset = m->num_stages() != cur.num_stages();
+        cur = *m;
+      }
+    }
+    if (st.recapacitate && st.recapacitate(rng, d, cfg)) {
+      prod.emplace(cfg, st.net);
+    }
+    last_prod = prod->rebalance(prof, cur);
+    last_ref = testing::rebalance_rescan(cfg, st.net, prof, cur);
+    if (reset) {
+      // A stage-count change must take CostSurface::sync's full-reset
+      // arm: every stage re-summed, then the candidate's touched stages.
+      EXPECT_GE(prod->last_touched_stages(),
+                static_cast<std::size_t>(cur.num_stages()))
+          << "decision " << d;
+      ++counts.full_resets;
+    }
+    counts.add(last_prod);
+    cur = last_prod.map;
+  };
+  const auto compare = [&](int d) -> std::optional<std::string> {
+    if (d < 0) return std::nullopt;
+    return outcome_diff(last_prod, last_ref);
+  };
+  const auto dump = [&] { return "  current map: " + cur.to_string() + "\n"; };
+  const auto r =
+      testing::diff_check(seed, kStreamDecisions, perturb, compare, dump);
+  EXPECT_TRUE(r.ok) << r.report;
+  return counts;
+}
+
+// Uniform capacities; the stage count cycles every 40 decisions, so one
+// production instance absorbs each reshape through its full-reset arm.
+Stream reshaping_stream(balance::Algorithm algorithm, double window) {
+  Stream st;
+  st.cfg.algorithm = algorithm;
+  st.cfg.payoff_window_iters = window;
+  st.reshape = [](std::mt19937_64&, int d) -> std::optional<StageMap> {
+    if (d == 0 || d % 40 != 0) return std::nullopt;
+    static constexpr int kStages[] = {8, 5, 12, 3, 8};
+    return StageMap::uniform(kStreamLayers, kStages[(d / 40) % 5]);
+  };
+  return st;
+}
+
+// Heterogeneous capacities over a reversed placement, redrawn every 50
+// decisions: every change builds a fresh production instance from the new
+// config, exactly as the session rebuilds its rebalancer.
+Stream recapacitating_stream(balance::Algorithm algorithm, double window) {
+  Stream st;
+  st.cfg.algorithm = algorithm;
+  st.cfg.payoff_window_iters = window;
+  st.cfg.capacities.assign(8, 1.0);
+  for (std::size_t s = 0; s < 8; s += 2) st.cfg.capacities[s] = 0.5;
+  st.cfg.stage_to_rank = {7, 6, 5, 4, 3, 2, 1, 0};
+  st.recapacitate = [](std::mt19937_64& rng, int d,
+                       balance::RebalanceConfig& cfg) {
+    if (d == 0 || d % 50 != 0) return false;
+    for (auto& c : cfg.capacities) {
+      c = 0.25 + static_cast<double>(rng() % 4) * 0.25;
+    }
+    return true;
+  };
+  return st;
+}
+
+// HierarchicalDiffusion over a two-node H100 + A100 deployment, with the
+// decider, capacities, placement and cost scaling wired the way
+// TrainingSession::start() wires them for an every-iteration cadence.
+Stream hierarchical_stream(double window) {
+  cluster::NodeDesc h100;
+  h100.gpus.assign(4, hw::GpuSpec::h100_sxm5());
+  cluster::NodeDesc a100;
+  a100.gpus.assign(4, hw::GpuSpec::a100_sxm4());
+  const auto dep = cluster::Deployment::make_topology_aware(
+      cluster::Topology::make_hetero(
+          {h100, a100},
+          cluster::default_link(cluster::LinkType::InfiniBand)),
+      8);
+  const double overlap = 0.85;  // SessionConfig::migration_overlap
+  Stream st;
+  st.net = dep.make_cost_model();
+  st.cfg.algorithm = balance::Algorithm::HierarchicalDiffusion;
+  st.cfg.payoff_window_iters = window;
+  st.cfg.migration_exposed_fraction = 1.0 - overlap;
+  st.cfg.stage_to_rank.assign(dep.stage_to_rank().begin(),
+                              dep.stage_to_rank().end());
+  st.cfg.capacities = dep.stage_capacities();
+  cluster::HierConfig hier_cfg;
+  hier_cfg.payoff_window_iters = window;
+  hier_cfg.migration_cost_multiplier *= 1.0 - overlap;
+  st.cfg.hierarchical_decider =
+      [dep, hier_cfg](const balance::DiffusionRequest& req,
+                      const StageMap& current) {
+        const auto ranks = dep.stage_to_rank().first(
+            static_cast<std::size_t>(current.num_stages()));
+        return cluster::HierarchicalBalancer(dep.topology(), hier_cfg)
+            .balance(req, current, ranks)
+            .map;
+      };
+  return st;
+}
+
+TEST(RebalancerDifferential, MatchesRescanOracleOverStreams) {
+  using balance::Algorithm;
+  // Without hysteresis a candidate that leaves the bottleneck stage alone
+  // ties it exactly; the tie must be accepted on both sides.
+  Stream no_hysteresis = reshaping_stream(Algorithm::Diffusion, 0.0);
+  no_hysteresis.cfg.min_bottleneck_gain = 0.0;
+  const std::vector<Stream> streams = {
+      reshaping_stream(Algorithm::Partition, 0.0),
+      reshaping_stream(Algorithm::Diffusion, 2.0),
+      recapacitating_stream(Algorithm::Partition, 2.0),
+      recapacitating_stream(Algorithm::Diffusion, 0.0),
+      hierarchical_stream(0.02),
+      no_hysteresis,
+  };
+  DecisionCounts total;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const DecisionCounts c = run_stream(streams[i], 0xd1f0 + i);
+    EXPECT_GT(c.accepted_moves, 0) << "stream " << i;
+    total.decisions += c.decisions;
+    total.accepted_moves += c.accepted_moves;
+    total.rejected_bottleneck += c.rejected_bottleneck;
+    total.rejected_payoff += c.rejected_payoff;
+    total.full_resets += c.full_resets;
+  }
+  // The streams must exercise every acceptance arm, or equality proves
+  // nothing about it.
+  EXPECT_GE(total.decisions, 2000);
+  EXPECT_GE(total.accepted_moves, 50);
+  EXPECT_GE(total.rejected_bottleneck, 50);
+  EXPECT_GE(total.rejected_payoff, 50);
+  EXPECT_GE(total.full_resets, 10);
+}
+
+// The recorded load histories of the two goldens that carry per-layer
+// arrays, replayed through one production instance and the oracle in
+// lockstep — the same frames, rebalance cadence and measurement-noise
+// stream balance::replay() feeds its rebalancer.
+TEST(RebalancerDifferential, GoldenLoadHistoriesMatchRescanOracle) {
+  const std::filesystem::path golden =
+      std::filesystem::path(__FILE__).parent_path() / "golden";
+  for (const auto& [name, frames] :
+       {std::pair<const char*, std::size_t>{"session", 40},
+        std::pair<const char*, std::size_t>{"large_grid", 20}}) {
+    const telemetry::TraceReader reader((golden / name).string());
+    const auto loads = reader.replayed_loads();
+    const auto cfg = reader.replay_config();
+    ASSERT_EQ(loads.frames.size(), frames) << name;
+    const comm::CostModel net{};
+    const balance::Rebalancer prod(cfg.rebalance, net);
+    Rng noise_rng(hash_mix(cfg.seed, 0x7e55));
+    StageMap map = StageMap::uniform(loads.num_layers(), loads.num_stages);
+    const std::vector<double> params =
+        cfg.params.empty() ? std::vector<double>(loads.num_layers(), 0.0)
+                           : cfg.params;
+    int decisions = 0;
+    for (const auto& frame : loads.frames) {
+      if (frame.iter % cfg.rebalance_interval != 0) continue;
+      balance::LayerProfile prof;
+      prof.time_s = frame.layer_time_s;
+      prof.memory_bytes = frame.layer_memory_bytes;
+      prof.params = params;
+      balance::add_measurement_noise(prof, noise_rng);
+      const auto a = prod.rebalance(prof, map);
+      const auto b = testing::rebalance_rescan(cfg.rebalance, net, prof, map);
+      const auto diff = outcome_diff(a, b);
+      ASSERT_FALSE(diff.has_value())
+          << name << " frame iter " << frame.iter << ": " << *diff;
+      map = a.map;
+      ++decisions;
+    }
+    EXPECT_EQ(decisions, static_cast<int>(frames)) << name;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Deployment: memoized link/group/capacity lookups return identical
-// objects, and the resolver-call counter stays flat on repeats.
+// Deployment: warmed link/group/capacity lookups return the objects a
+// cache miss derives, and the resolver-call counter stays flat on repeats.
 
 TEST(DeploymentCache, MemoizedLookupsMatchAndResolverCallsStayFlat) {
-  const auto dep = cluster::Deployment::make_topology_aware(
-      cluster::Topology::make_dgx_a100(2), 8);
+  const auto make = [] {
+    return cluster::Deployment::make_topology_aware(
+        cluster::Topology::make_dgx_a100(2), 8);
+  };
+  const auto dep = make();
   const auto base = dep.cache_stats();
 
-  // First pass: misses populate the cache; values must equal the
-  // re-derivation twin exactly.
+  // First pass: misses populate the cache.
+  for (int a = 0; a < 8; ++a) {
+    for (int b = 0; b < 8; ++b) (void)dep.link(a, b);
+  }
+  (void)dep.stage_capacities();
+  (void)dep.group(dep.stage_to_rank());
+  const auto after_first = dep.cache_stats();
+  EXPECT_GT(after_first.resolver_calls, base.resolver_calls);
+
+  // Second pass over the identical queries: every warmed answer equals the
+  // first (cache-miss) answer of a freshly built, identical deployment.
+  const auto fresh = make();
   for (int a = 0; a < 8; ++a) {
     for (int b = 0; b < 8; ++b) {
       const auto lp = dep.link(a, b);
-      const auto ref = dep.link_full_rescan(a, b);
+      const auto ref = fresh.link(a, b);
       ASSERT_EQ(lp.alpha_s, ref.alpha_s) << a << "," << b;
       ASSERT_EQ(lp.beta_bytes_s, ref.beta_bytes_s) << a << "," << b;
     }
   }
-  const auto caps = dep.stage_capacities();
-  EXPECT_EQ(caps, dep.stage_capacities_full_rescan());
+  EXPECT_EQ(dep.stage_capacities(), fresh.stage_capacities());
   const auto grp = dep.group(dep.stage_to_rank());
-  const auto grp_ref = dep.group_full_rescan(dep.stage_to_rank());
+  const auto grp_ref = fresh.group(fresh.stage_to_rank());
+  EXPECT_EQ(fresh.cache_stats().resolver_calls, after_first.resolver_calls)
+      << "the fresh deployment's lookups were not all cache misses";
   EXPECT_EQ(grp.node_sizes, grp_ref.node_sizes);
   EXPECT_EQ(grp.intra.alpha_s, grp_ref.intra.alpha_s);
   EXPECT_EQ(grp.intra.beta_bytes_s, grp_ref.intra.beta_bytes_s);
   EXPECT_EQ(grp.inter.alpha_s, grp_ref.inter.alpha_s);
   EXPECT_EQ(grp.inter.beta_bytes_s, grp_ref.inter.beta_bytes_s);
 
-  const auto after_first = dep.cache_stats();
-  EXPECT_GT(after_first.resolver_calls, base.resolver_calls);
-
-  // Second pass over the identical queries: lookups rise, resolver flat —
-  // the regression this hook exists to catch.
-  for (int a = 0; a < 8; ++a) {
-    for (int b = 0; b < 8; ++b) {
-      const auto lp = dep.link(a, b);
-      const auto ref = dep.link_full_rescan(a, b);
-      ASSERT_EQ(lp.alpha_s, ref.alpha_s);
-      ASSERT_EQ(lp.beta_bytes_s, ref.beta_bytes_s);
-    }
-  }
-  (void)dep.stage_capacities();
-  (void)dep.group(dep.stage_to_rank());
+  // Lookups rise, resolver flat — the regression this hook exists to
+  // catch.
   const auto after_second = dep.cache_stats();
   EXPECT_EQ(after_second.resolver_calls, after_first.resolver_calls)
       << "repeated identical lookups re-ran the resolver";
@@ -468,7 +696,7 @@ TEST(DeploymentCache, CopiesShareTheCacheViewsGetFresh) {
 // CostBuilder: memoized layer pricing vs full re-evaluation under random
 // state churn.
 
-TEST(CostBuilderMemo, MatchesFullRescanUnderStateChurn) {
+TEST(CostBuilderMemo, MatchesRescanOracleUnderStateChurn) {
   const auto model = model::make_gpt({.num_blocks = 12,
                                       .include_embedding = false,
                                       .include_lm_head = false});
@@ -492,7 +720,7 @@ TEST(CostBuilderMemo, MatchesFullRescanUnderStateChurn) {
                        2 + static_cast<int>(rng() % 6));
     }
     const auto t_inc = builder.layer_times(states);
-    const auto t_ref = builder.layer_times_full_rescan(states);
+    const auto t_ref = testing::layer_times_rescan(builder, model, states);
     ASSERT_EQ(t_inc.size(), t_ref.size());
     for (std::size_t l = 0; l < t_ref.size(); ++l) {
       ASSERT_EQ(t_inc[l].forward_s, t_ref[l].forward_s) << "layer " << l;
@@ -500,61 +728,10 @@ TEST(CostBuilderMemo, MatchesFullRescanUnderStateChurn) {
       ASSERT_EQ(t_inc[l].backward_weight_s, t_ref[l].backward_weight_s);
     }
     const auto m_inc = builder.layer_memory_bytes(states, map);
-    const auto m_ref = builder.layer_memory_bytes_full_rescan(states, map);
+    const auto m_ref =
+        testing::layer_memory_bytes_rescan(builder, model, states, map);
     ASSERT_EQ(m_inc, m_ref) << "iter " << iter;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Session-level golden proof: identical telemetry bytes with the
-// incremental path on and off.
-
-std::string slurp(const std::filesystem::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-TEST(SessionGolden, IncrementalRunEmitsByteIdenticalTelemetry) {
-  namespace fs = std::filesystem;
-  const fs::path base =
-      fs::path(::testing::TempDir()) / "incremental_golden";
-  fs::remove_all(base);
-  const auto run = [&](bool incremental, const fs::path& dir) {
-    Options opt;
-    opt.session.pipeline_stages = 8;
-    opt.session.micro_batch = 2;
-    opt.session.num_microbatches = 16;
-    opt.session.iterations = 200;
-    opt.session.sim_stride = 10;
-    opt.session.rebalance_interval = 1;
-    opt.session.mode = runtime::BalancingMode::DynMo;
-    opt.session.algorithm = balance::Algorithm::Diffusion;
-    opt.session.payoff_window_iters = 20.0;
-    opt.session.telemetry.dir = dir.string();
-    opt.session.telemetry.deterministic = true;
-    opt.session.incremental_decisions = incremental;
-    Session session(model::make_gpt({.num_blocks = 16,
-                                     .include_embedding = false,
-                                     .include_lm_head = false}),
-                    UseCase::SparseAttention, opt);
-    (void)session.run();
-  };
-  run(true, base / "incremental");
-  run(false, base / "rescan");
-
-  std::size_t compared = 0;
-  for (const auto& e : fs::directory_iterator(base / "incremental")) {
-    const auto name = e.path().filename();
-    const auto twin = base / "rescan" / name;
-    ASSERT_TRUE(fs::exists(twin)) << name << " missing from the rescan run";
-    EXPECT_EQ(slurp(e.path()), slurp(twin))
-        << name << " differs between decision paths";
-    ++compared;
-  }
-  EXPECT_GT(compared, 2u);  // catalog + at least some tables
-  fs::remove_all(base);
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "balance/replay.hpp"
@@ -367,6 +371,46 @@ TEST(Telemetry, PerLayerOffReplayThrows) {
   EXPECT_TRUE(reader.stage_loads()[0].layer_s.empty());
   // ...but replay needs the per-layer arrays.
   EXPECT_THROW((void)reader.replayed_loads(), Error);
+}
+
+TEST(Telemetry, ReplayConfigRejectsUnknownRunNames) {
+  namespace fs = std::filesystem;
+  const fs::path golden = fs::path(__FILE__).parent_path() / "golden";
+  for (const char* name : {"session", "large_grid"}) {
+    EXPECT_NO_THROW(
+        (void)telemetry::TraceReader((golden / name).string()).replay_config())
+        << name;
+  }
+  // A misspelled algorithm or balancing currency must not replay as
+  // Diffusion / by-time: the copy's replay_config() names field and value.
+  for (const auto& [field, bad] :
+       {std::pair<std::string, std::string>{"algorithm", "partiton"},
+        std::pair<std::string, std::string>{"balance_by", "by_flops"}}) {
+    const fs::path dir = trace_dir(("badname_" + field).c_str());
+    fs::remove_all(dir);
+    fs::copy(golden / "session", dir);
+    std::ifstream in(dir / "catalog.json");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    std::string catalog = buf.str();
+    const std::string key = "\"" + field + "\": \"";
+    const auto at = catalog.find(key);
+    ASSERT_NE(at, std::string::npos) << field;
+    const auto end = catalog.find('"', at + key.size());
+    catalog.replace(at + key.size(), end - at - key.size(), bad);
+    std::ofstream(dir / "catalog.json") << catalog;
+
+    const telemetry::TraceReader reader(dir.string());
+    try {
+      (void)reader.replay_config();
+      ADD_FAILURE() << "run." << field << " '" << bad << "' was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("run." + field), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+    }
+    fs::remove_all(dir);
+  }
 }
 
 // ----------------------------------------------------------- threaded trace

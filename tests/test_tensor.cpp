@@ -1,12 +1,10 @@
-// Unit tests for tensor/: dense ops, top-k selection, CSR compression and
-// SpMM — the real kernels behind the threaded runtime and the distributed
-// pruning path.
+// Unit tests for tensor/: dense ops and top-k selection — the real kernels
+// behind the threaded runtime and the distributed pruning path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/rng.hpp"
-#include "tensor/csr.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dynmo::tensor {
@@ -122,76 +120,6 @@ TEST(TopK, KthAbsValue) {
   EXPECT_FLOAT_EQ(kth_abs_value(xs, 3), 2.0f);
   EXPECT_FLOAT_EQ(kth_abs_value(xs, 5), 0.1f);
   EXPECT_THROW((void)kth_abs_value(xs, 6), Error);
-}
-
-TEST(Csr, RoundTripThreshold) {
-  Rng rng(1);
-  const Tensor dense = Tensor::random(10, 14, rng);
-  const CsrMatrix csr = CsrMatrix::from_dense(dense, 0.5f);
-  const Tensor back = csr.to_dense();
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t c = 0; c < dense.cols(); ++c) {
-      const float expect =
-          std::abs(dense.at(r, c)) >= 0.5f ? dense.at(r, c) : 0.0f;
-      EXPECT_EQ(back.at(r, c), expect);
-    }
-  }
-}
-
-TEST(Csr, DensityAndBytes) {
-  Tensor dense(4, 4);
-  dense.at(0, 0) = 1.0f;
-  dense.at(3, 3) = -2.0f;
-  const CsrMatrix csr = CsrMatrix::from_dense(dense, 0.1f);
-  EXPECT_EQ(csr.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(csr.density(), 2.0 / 16.0);
-  EXPECT_EQ(csr.bytes(),
-            2 * sizeof(float) + 2 * sizeof(std::uint32_t) +
-                5 * sizeof(std::uint32_t));
-}
-
-TEST(Csr, FromIndicesKeepsExactSet) {
-  Rng rng(2);
-  const Tensor dense = Tensor::random(6, 5, rng);
-  const std::vector<std::uint32_t> keep = {0, 7, 14, 29};
-  const CsrMatrix csr = CsrMatrix::from_dense_with_indices(dense, keep);
-  EXPECT_EQ(csr.nnz(), keep.size());
-  const Tensor back = csr.to_dense();
-  for (std::size_t flat = 0; flat < dense.size(); ++flat) {
-    const auto r = flat / 5;
-    const auto c = flat % 5;
-    const bool kept =
-        std::find(keep.begin(), keep.end(), flat) != keep.end();
-    EXPECT_EQ(back.at(r, c), kept ? dense.at(r, c) : 0.0f) << flat;
-  }
-}
-
-class CsrSpmm : public ::testing::TestWithParam<float> {};
-
-TEST_P(CsrSpmm, MatchesDenseMatmul) {
-  Rng rng(3);
-  const Tensor x = Tensor::random(7, 12, rng);
-  const Tensor w = Tensor::random(12, 9, rng);
-  const CsrMatrix sw = CsrMatrix::from_dense(w, GetParam());
-  const Tensor ref = matmul(x, sw.to_dense());
-  const Tensor y = sw.spmm_left(x);
-  ASSERT_EQ(y.rows(), ref.rows());
-  ASSERT_EQ(y.cols(), ref.cols());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_NEAR(y.data()[i], ref.data()[i], 1e-4);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Thresholds, CsrSpmm,
-                         ::testing::Values(0.0f, 0.3f, 1.0f, 5.0f));
-
-TEST(Csr, EmptyMatrix) {
-  Tensor dense(3, 3);
-  const CsrMatrix csr = CsrMatrix::from_dense(dense, 0.1f);
-  EXPECT_EQ(csr.nnz(), 0u);
-  const Tensor x(2, 3, 1.0f);
-  const Tensor y = csr.spmm_left(x);
-  for (float v : y.data()) EXPECT_EQ(v, 0.0f);
 }
 
 }  // namespace

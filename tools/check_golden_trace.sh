@@ -7,14 +7,12 @@
 #
 #   session         -- modeled 8-stage session; pins the trace format.
 #                      Transport-independent (no comm::World behind it).
-#                      Replayed with the incremental decision path forced
-#                      ON and OFF -- both must match the one golden.
 #   large_grid      -- 2x32 DP*PP grid on 8 DGX-H100 nodes, diffusion
-#                      every frame; the canonical scenario for the
-#                      incremental cost surfaces.  Also replayed under
-#                      both decision paths: identical bytes here are the
-#                      session-level proof that incremental caching
-#                      changes no decision (docs/COST_MODEL.md
+#                      every frame; the canonical scenario for the cached
+#                      decision path.  This golden and the session one
+#                      carry per-layer arrays, which the lockstep test in
+#                      tests/test_incremental_cost.cpp replays through the
+#                      full-rescan oracle (docs/COST_MODEL.md
 #                      "Incremental recomputation").
 #   lifecycle_elastic -- stepped elastic session through every restart
 #                      path: forced shrink ("preempt"), voluntary expands,
@@ -22,8 +20,6 @@
 #                      worker loss.
 #   lifecycle_repack -- plain re-packing under a payoff window: rejected
 #                      and accepted "repack" rows plus the post-pack polish.
-#                      Both lifecycle scenarios also replay under both
-#                      decision paths.
 #   threaded_fault  -- heartbeat-detected worker-loss recovery; replayed on
 #                      BOTH transport backends.  The same bytes must come
 #                      out of inproc and socket: this is the proof that the
@@ -84,15 +80,10 @@ compare_dir() {
     done
 }
 
-# Both decision paths must reproduce the same committed golden: the
-# incremental cost surface may change no decision, bottleneck, priced
-# cost, or telemetry byte relative to the full-rescan reference.
 for s in session large_grid lifecycle_elastic lifecycle_repack; do
-    for p in incremental rescan; do
-        mkdir "$TMP/${s}_$p"
-        "$GEN" --scenario "$s" --out "$TMP/${s}_$p" --decision-path "$p" >/dev/null
-        compare_dir "$GOLD/$s" "$TMP/${s}_$p" "$s/$p"
-    done
+    mkdir "$TMP/$s"
+    "$GEN" --scenario "$s" --out "$TMP/$s" >/dev/null
+    compare_dir "$GOLD/$s" "$TMP/$s" "$s"
 done
 
 for t in inproc socket; do
@@ -110,5 +101,4 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "golden-trace gate: OK (session, large_grid and the two lifecycle" \
-     "scenarios on both decision paths," \
-     "threaded_fault on inproc and socket)"
+     "scenarios, threaded_fault on inproc and socket)"

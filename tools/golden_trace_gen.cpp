@@ -1,10 +1,10 @@
 // golden_trace_gen: replay the canonical golden-trace scenarios
 // (docs/TRANSPORT.md "Golden-trace gate") with deterministic telemetry.
 //
-//   golden_trace_gen --scenario session        --out DIR [--decision-path P]
-//   golden_trace_gen --scenario large_grid     --out DIR [--decision-path P]
-//   golden_trace_gen --scenario lifecycle_elastic --out DIR [--decision-path P]
-//   golden_trace_gen --scenario lifecycle_repack  --out DIR [--decision-path P]
+//   golden_trace_gen --scenario session           --out DIR
+//   golden_trace_gen --scenario large_grid        --out DIR
+//   golden_trace_gen --scenario lifecycle_elastic --out DIR
+//   golden_trace_gen --scenario lifecycle_repack  --out DIR
 //   golden_trace_gen --scenario threaded_fault --out DIR [--transport T]
 //
 // `session` is the small modeled session from the telemetry tests (8
@@ -19,14 +19,13 @@
 // wall-clock columns are zeroed at the source and the remaining content is
 // a pure function of the scenario.
 //
-// `large_grid` is the canonical large deployment for the incremental
-// decision path: a 2×32 DP×PP grid on 8 DGX-H100 nodes (64 ranks),
-// capacity-aware diffusion every frame.  `--decision-path
-// incremental|rescan` selects the cost-surface implementation inside the
-// rebalancer (SessionConfig::incremental_decisions); the gate replays the
-// scenario under BOTH and byte-compares every telemetry table — the
-// session-level proof that the incremental surface changes no decision
-// (docs/COST_MODEL.md "Incremental recomputation").
+// `large_grid` is the canonical large deployment for the cached decision
+// path: a 2×32 DP×PP grid on 8 DGX-H100 nodes (64 ranks), capacity-aware
+// diffusion every frame.  Its golden and the `session` golden record
+// per-layer arrays, so tests/test_incremental_cost.cpp replays both
+// recorded load histories through the production rebalancer and the
+// full-rescan oracle in lockstep (docs/COST_MODEL.md "Incremental
+// recomputation").
 //
 // `lifecycle_elastic` and `lifecycle_repack` pin the session's restart
 // and re-pack paths, which the other session goldens never reach: the
@@ -56,13 +55,12 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --scenario session|large_grid|lifecycle_elastic|"
                "lifecycle_repack|threaded_fault "
-               "--out DIR [--transport inproc|socket] "
-               "[--decision-path incremental|rescan]\n",
+               "--out DIR [--transport inproc|socket]\n",
                argv0);
   return 64;
 }
 
-void run_session(const std::string& out, bool incremental) {
+void run_session(const std::string& out) {
   using namespace dynmo;
   // Mirrors tests/test_telemetry.cpp traced_options(): change one only in
   // lockstep with the other (and regenerate the golden).
@@ -78,7 +76,6 @@ void run_session(const std::string& out, bool incremental) {
   opt.session.payoff_window_iters = 20.0;
   opt.session.telemetry.dir = out;
   opt.session.telemetry.deterministic = true;
-  opt.session.incremental_decisions = incremental;
   Session session(model::make_gpt({.num_blocks = 16,
                                    .include_embedding = false,
                                    .include_lm_head = false}),
@@ -90,11 +87,9 @@ void run_session(const std::string& out, bool incremental) {
               result.tokens_per_sec);
 }
 
-void run_large_grid(const std::string& out, bool incremental) {
+void run_large_grid(const std::string& out) {
   using namespace dynmo;
-  // Canonical large-grid scenario for the incremental decision path: the
-  // golden is generated once (rescan and incremental agree byte-for-byte,
-  // gated by check_golden_trace.sh) and replayed under both paths in CI.
+  // Canonical large-grid scenario for the cached decision path.
   Options opt;
   opt.session.pipeline_stages = 32;
   opt.session.data_parallel = 2;
@@ -111,20 +106,18 @@ void run_large_grid(const std::string& out, bool incremental) {
       /*num_stages=*/32, cluster::GridOrientation::PpInner);
   opt.session.telemetry.dir = out;
   opt.session.telemetry.deterministic = true;
-  opt.session.incremental_decisions = incremental;
   Session session(model::make_gpt({.num_blocks = 64,
                                    .include_embedding = false,
                                    .include_lm_head = false}),
                   UseCase::SparseAttention, opt);
   const auto result = session.run();
-  std::printf("large_grid[%s]: %zu frames traced, tokens/s %.6g\n",
-              incremental ? "incremental" : "rescan",
+  std::printf("large_grid: %zu frames traced, tokens/s %.6g\n",
               static_cast<std::size_t>(opt.session.iterations /
                                        opt.session.sim_stride),
               result.tokens_per_sec);
 }
 
-void run_lifecycle_elastic(const std::string& out, bool incremental) {
+void run_lifecycle_elastic(const std::string& out) {
   using namespace dynmo;
   // Every checkpoint-coordinated restart path in one run: an
   // arbiter-style forced shrink ("preempt"), voluntary elastic
@@ -151,7 +144,6 @@ void run_lifecycle_elastic(const std::string& out, bool incremental) {
   opt.session.telemetry.dir = out;
   opt.session.telemetry.deterministic = true;
   opt.session.telemetry.per_layer = false;
-  opt.session.incremental_decisions = incremental;
   const auto m = model::make_gpt({.num_blocks = 24,
                                   .include_embedding = false,
                                   .include_lm_head = false});
@@ -171,7 +163,7 @@ void run_lifecycle_elastic(const std::string& out, bool incremental) {
               r.straggler_events, r.tokens_per_sec);
 }
 
-void run_lifecycle_repack(const std::string& out, bool incremental) {
+void run_lifecycle_repack(const std::string& out) {
   using namespace dynmo;
   // Plain (non-elastic) re-packing on a 2-GPU-per-node deployment under a
   // payoff window that refuses most packs: the trace holds payoff-rejected
@@ -197,7 +189,6 @@ void run_lifecycle_repack(const std::string& out, bool incremental) {
   opt.session.telemetry.dir = out;
   opt.session.telemetry.deterministic = true;
   opt.session.telemetry.per_layer = false;
-  opt.session.incremental_decisions = incremental;
   Session session(model::make_gpt({.num_blocks = 24,
                                    .include_embedding = false,
                                    .include_lm_head = false}),
@@ -274,7 +265,6 @@ int run_threaded_fault(const std::string& out, dynmo::comm::TransportKind k) {
 int main(int argc, char** argv) {
   std::string scenario, out;
   auto kind = dynmo::comm::TransportKind::InProc;
-  bool incremental = true;
   for (int i = 1; i < argc; ++i) {
     const auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -289,16 +279,6 @@ int main(int argc, char** argv) {
       out = need("--out");
     } else if (std::strcmp(argv[i], "--transport") == 0) {
       kind = dynmo::comm::parse_transport(need("--transport"));
-    } else if (std::strcmp(argv[i], "--decision-path") == 0) {
-      const std::string p = need("--decision-path");
-      if (p == "incremental") {
-        incremental = true;
-      } else if (p == "rescan") {
-        incremental = false;
-      } else {
-        std::fprintf(stderr, "unknown decision path '%s'\n", p.c_str());
-        return 64;
-      }
     } else {
       return usage(argv[0]);
     }
@@ -307,19 +287,19 @@ int main(int argc, char** argv) {
 
   try {
     if (scenario == "session") {
-      run_session(out, incremental);
+      run_session(out);
       return 0;
     }
     if (scenario == "large_grid") {
-      run_large_grid(out, incremental);
+      run_large_grid(out);
       return 0;
     }
     if (scenario == "lifecycle_elastic") {
-      run_lifecycle_elastic(out, incremental);
+      run_lifecycle_elastic(out);
       return 0;
     }
     if (scenario == "lifecycle_repack") {
-      run_lifecycle_repack(out, incremental);
+      run_lifecycle_repack(out);
       return 0;
     }
     if (scenario == "threaded_fault") {
