@@ -1,8 +1,9 @@
-// dynmo_sim — command-line driver for the DynMo simulator.
+// dynmo_sim — command-line driver for the DynMo simulator.  Usage, one
+// command line wrapped here:
 //
-//   ./build/examples/dynmo_sim --case early_exit --layers 32 --stages 8 \
-//       --mode dynmo --algo diffusion --iterations 5000 --repack \
-//       --trace /tmp/pipeline.json
+//   ./build/example_dynmo_sim --case early_exit --layers 32 --stages 8
+//       --mode dynmo --algo diffusion --iterations 5000 --repack
+//       --trace pipeline.json
 //
 // Runs one training session and prints the result summary; with --trace it
 // additionally writes a Chrome-trace (chrome://tracing, Perfetto) timeline

@@ -42,14 +42,16 @@ void Logger::write(LogLevel level, std::string_view msg) {
 #else
   gmtime_r(&secs, &tm);
 #endif
-  char stamp[32];
+  // Sized for the format's worst case (every int field at full width), so
+  // the call can never truncate; a real date fills 24 bytes.
+  char stamp[80];
   std::snprintf(stamp, sizeof(stamp), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));
 
   std::scoped_lock lock(mu_);
   if (sink_) {
-    char line[64];
+    char line[sizeof(stamp) + 32];
     const int n = std::snprintf(line, sizeof(line), "%s [dynmo %-5s] ",
                                 stamp, to_string(level));
     std::string full(line, static_cast<std::size_t>(n));

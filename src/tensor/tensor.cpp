@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/thread_pool.hpp"
-
 namespace dynmo::tensor {
 
 Tensor Tensor::random(std::size_t rows, std::size_t cols, Rng& rng,
@@ -17,6 +15,14 @@ Tensor Tensor::random(std::size_t rows, std::size_t cols, Rng& rng,
   return t;
 }
 
+namespace {
+
+// Columns of C kept in a local accumulator across the whole k loop, so
+// each C element is loaded and stored once per row instead of once per kk.
+constexpr std::size_t kTile = 32;
+
+}  // namespace
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
   DYNMO_CHECK(a.cols() == b.rows(),
               "matmul shape mismatch: " << a.rows() << 'x' << a.cols()
@@ -25,20 +31,32 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   Tensor c(a.rows(), b.cols());
   const std::size_t n = b.cols();
   const std::size_t k = a.cols();
-  ThreadPool::global().parallel_for(0, a.rows(), [&](std::size_t r0,
-                                                     std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const auto arow = a.row(i);
-      auto crow = c.row(i);
-      // i-k-j loop order: unit-stride inner loop over both B and C.
+  const std::size_t n_tiled = n - n % kTile;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const auto arow = a.row(i);
+    auto crow = c.row(i);
+    // Every C element starts at 0 and adds aik * b[kk][j] in ascending kk,
+    // skipping aik == 0: the same sum, bit for bit, in the tiles and the
+    // tail.  The skip is a free win once pruning kicks in.
+    for (std::size_t j0 = 0; j0 < n_tiled; j0 += kTile) {
+      float acc[kTile] = {};
       for (std::size_t kk = 0; kk < k; ++kk) {
         const float aik = arow[kk];
-        if (aik == 0.0f) continue;  // free win once pruning kicks in
-        const auto brow = b.row(kk);
-        for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+        if (aik == 0.0f) continue;
+        const float* brow = b.row(kk).data() + j0;
+        for (std::size_t t = 0; t < kTile; ++t) acc[t] += aik * brow[t];
       }
+      std::copy(acc, acc + kTile, crow.data() + j0);
     }
-  });
+    // Tail columns: i-k-j order, unit-stride inner loop over B and C.
+    if (n_tiled == n) continue;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float aik = arow[kk];
+      if (aik == 0.0f) continue;
+      const auto brow = b.row(kk);
+      for (std::size_t j = n_tiled; j < n; ++j) crow[j] += aik * brow[j];
+    }
+  }
   return c;
 }
 

@@ -61,7 +61,9 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// C = A * B (row-major), multi-threaded over rows of A.
+/// C = A * B (row-major), computed on the calling thread.  Each C element
+/// is summed in ascending k order, so the result is bit-identical to a
+/// naive dot product for finite inputs.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// y = x * W + b applied row-wise; W is (in, out).  b may be empty.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -42,28 +43,53 @@ TEST(Tensor, RandomIsDeterministicPerSeed) {
   }
 }
 
+// (m, k, n, zero every other element of A as pruning leaves it).
 class MatmulShapes
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, int, bool>> {};
 
-TEST_P(MatmulShapes, MatchesNaive) {
-  const auto [m, k, n] = GetParam();
+// For finite inputs the naive dot product and matmul's zero-skipping
+// ascending-k order give the same bits, so any reordered summation fails.
+TEST_P(MatmulShapes, MatchesNaiveBitForBit) {
+  const auto [m, k, n, half_zero] = GetParam();
   Rng rng(42);
-  const Tensor a = Tensor::random(static_cast<std::size_t>(m),
-                                  static_cast<std::size_t>(k), rng);
+  Tensor a = Tensor::random(static_cast<std::size_t>(m),
+                            static_cast<std::size_t>(k), rng);
+  if (half_zero) {
+    for (std::size_t i = 0; i < a.size(); i += 2) a.data()[i] = 0.0f;
+  }
   const Tensor b = Tensor::random(static_cast<std::size_t>(k),
                                   static_cast<std::size_t>(n), rng);
   const Tensor c = matmul(a, b);
   const Tensor ref = naive_matmul(a, b);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-4);
-  }
+  ASSERT_TRUE(c.same_shape(ref));
+  EXPECT_EQ(std::memcmp(c.data().data(), ref.data().data(), c.bytes()), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MatmulShapes,
-    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{2, 3, 4},
-                      std::tuple{8, 8, 8}, std::tuple{17, 5, 9},
-                      std::tuple{64, 32, 16}, std::tuple{1, 64, 1}));
+    ::testing::Values(
+        std::tuple{1, 1, 1, false}, std::tuple{2, 3, 4, false},
+        std::tuple{8, 8, 8, false}, std::tuple{17, 5, 9, false},
+        std::tuple{64, 32, 16, false}, std::tuple{1, 64, 1, false},
+        // The threaded runtime's batch_rows x hidden . hidden x hidden.
+        std::tuple{8, 64, 64, false},
+        // Widths that are not a multiple of the column tile.
+        std::tuple{3, 5, 33, false}, std::tuple{8, 64, 40, false},
+        // Wide: more than two tiles plus a tail.
+        std::tuple{4, 16, 100, false},
+        // Half-zero A: the skipped terms must not change a bit.
+        std::tuple{8, 64, 64, true}, std::tuple{3, 5, 33, true}));
+
+// A zero in A skips its row of B entirely, in the tiles and in the tail:
+// 0 * inf would otherwise poison the whole output row with NaN.
+TEST(Tensor, MatmulZeroInASkipsItsRowOfB) {
+  Tensor a(1, 2);
+  a.at(0, 1) = 2.0f;
+  Tensor b(2, 40, 1.0f);
+  for (float& v : b.row(0)) v = INFINITY;
+  const Tensor c = matmul(a, b);
+  for (float v : c.data()) EXPECT_EQ(v, 2.0f);
+}
 
 TEST(Tensor, MatmulShapeMismatchThrows) {
   Tensor a(2, 3), b(4, 2);
