@@ -75,6 +75,45 @@ void parse_field(CheckpointField tag, std::size_t field_off,
 
 }  // namespace
 
+void put_tensor(comm::Packer& p, const tensor::Tensor& t) {
+  p.put<std::uint64_t>(t.rows());
+  p.put<std::uint64_t>(t.cols());
+  p.put_span(t.data());
+}
+
+tensor::Tensor get_tensor(comm::Unpacker& u) {
+  const auto rows = u.get<std::uint64_t>();
+  const auto cols = u.get<std::uint64_t>();
+  const auto data = u.get_vector<float>();
+  // Divide instead of multiplying rows * cols: a corrupted shape whose
+  // product wraps past 2^64 must fail here, not reach the Tensor allocator.
+  const bool shape_ok = (rows == 0 || cols == 0)
+                            ? data.empty()
+                            : data.size() / rows == cols &&
+                                  data.size() % rows == 0;
+  DYNMO_CHECK(shape_ok, "tensor shape " << rows << "x" << cols << " != "
+                                        << data.size() << " floats");
+  tensor::Tensor t(rows, cols);
+  std::copy(data.begin(), data.end(), t.data().begin());
+  return t;
+}
+
+void put_weights(comm::Packer& p, const LayerWeights& weights) {
+  p.put<std::uint64_t>(weights.size());
+  for (const auto& [layer, w] : weights) {
+    p.put(layer);
+    put_tensor(p, w);
+  }
+}
+
+void get_weights(comm::Unpacker& u, LayerWeights& out) {
+  const auto n = u.get<std::uint64_t>();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto layer = u.get<std::uint64_t>();
+    out.insert_or_assign(layer, get_tensor(u));
+  }
+}
+
 const char* to_string(CheckpointField f) {
   switch (f) {
     case CheckpointField::Iteration: return "iteration";
@@ -109,13 +148,7 @@ std::vector<std::byte> Checkpoint::serialize() const {
   }
   {
     comm::Packer f;
-    f.put<std::uint64_t>(weights.size());
-    for (const auto& [layer, w] : weights) {
-      f.put(layer);
-      f.put<std::uint64_t>(w.rows());
-      f.put<std::uint64_t>(w.cols());
-      f.put_span(w.data());
-    }
+    put_weights(f, weights);
     put_field(p, CheckpointField::Weights, std::move(f));
   }
 
@@ -202,32 +235,7 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
         break;
       case CheckpointField::Weights:
         parse_field(CheckpointField::Weights, field_off, payload,
-                    [&](comm::Unpacker& f) {
-                      const auto n = f.get<std::uint64_t>();
-                      for (std::uint64_t i = 0; i < n; ++i) {
-                        const auto layer = f.get<std::uint64_t>();
-                        const auto rows = f.get<std::uint64_t>();
-                        const auto cols = f.get<std::uint64_t>();
-                        const auto data = f.get_vector<float>();
-                        // Divide instead of multiplying rows * cols: a
-                        // corrupted shape whose product wraps past 2^64
-                        // must fail here, not reach the Tensor allocator.
-                        const bool shape_ok =
-                            (rows == 0 || cols == 0)
-                                ? data.empty()
-                                : data.size() / rows == cols &&
-                                      data.size() % rows == 0;
-                        DYNMO_CHECK(shape_ok,
-                                    "layer " << layer << " weight shape "
-                                             << rows << "x" << cols
-                                             << " != " << data.size()
-                                             << " floats");
-                        tensor::Tensor t(rows, cols);
-                        std::copy(data.begin(), data.end(),
-                                  t.data().begin());
-                        ckpt.weights.insert_or_assign(layer, std::move(t));
-                      }
-                    });
+                    [&](comm::Unpacker& f) { get_weights(f, ckpt.weights); });
         break;
       default:
         // Unknown tag within a known version: a future writer added a

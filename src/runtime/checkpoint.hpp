@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/message.hpp"
 #include "model/layer.hpp"
 #include "pipeline/stage_map.hpp"
 #include "tensor/tensor.hpp"
@@ -39,6 +40,18 @@ enum class CheckpointField : std::uint16_t {
 
 const char* to_string(CheckpointField f);
 
+/// Tensor wire codec, [u64 rows][u64 cols][u64 float count][f32 data]:
+/// each entry of the Weights field, and every tensor the threaded runtime
+/// sends.  get_tensor throws dynmo::Error unless count == rows x cols.
+void put_tensor(comm::Packer& p, const tensor::Tensor& t);
+tensor::Tensor get_tensor(comm::Unpacker& u);
+
+/// The Weights field payload: u64 count, then per entry u64 layer id and
+/// a put_tensor body.  get_weights inserts (or overwrites) into `out`.
+using LayerWeights = std::map<std::uint64_t, tensor::Tensor>;
+void put_weights(comm::Packer& p, const LayerWeights& weights);
+void get_weights(comm::Unpacker& u, LayerWeights& out);
+
 struct Checkpoint {
   static constexpr std::uint32_t kMagic = 0x44594e4d;  // "DYNM"
   /// v2: tagged [tag][size][payload] field framing (v1 was positional and
@@ -49,7 +62,7 @@ struct Checkpoint {
   pipeline::StageMap stage_map;
   std::vector<model::LayerState> layer_states;
   /// Layer weights (threaded runtime); may be empty for simulated sessions.
-  std::map<std::uint64_t, tensor::Tensor> weights;
+  LayerWeights weights;
 
   /// Serialize to a byte buffer (stable across platforms of equal
   /// endianness; includes an integrity checksum).

@@ -1,5 +1,6 @@
 #include "runtime/threaded.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -39,6 +40,16 @@ comm::Tag bwd_tag(int epoch) {
 }
 comm::Tag gather_tag(int epoch) {
   return comm::kFirstUserTag + 40 + static_cast<comm::Tag>(epoch);
+}
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+int count_true(const std::vector<bool>& v) {
+  return static_cast<int>(std::count(v.begin(), v.end(), true));
 }
 
 /// Thrown inside a worker when the heartbeat monitor requests a recovery
@@ -93,10 +104,10 @@ void monitor_main(FaultShared& fs, double timeout_s) {
   const std::size_t n = fs.beats.size();
   std::vector<std::uint64_t> snap(n, 0);
   std::vector<double> frozen_s(n, 0.0);
-  auto last = std::chrono::steady_clock::now();
+  auto last = Clock::now();
   while (!fs.stop.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     const double dt = std::chrono::duration<double>(now - last).count();
     last = now;
     if (fs.recovery_requested.load(std::memory_order_acquire)) {
@@ -140,8 +151,7 @@ void monitor_main(FaultShared& fs, double timeout_s) {
 /// every survivor keeps hosting as long as num_layers >= survivors.
 pipeline::StageMap recovery_map_for(std::size_t num_layers, int workers,
                                     const std::vector<bool>& alive) {
-  std::size_t alive_n = 0;
-  for (const bool a : alive) alive_n += a ? 1 : 0;
+  const auto alive_n = static_cast<std::size_t>(count_true(alive));
   DYNMO_CHECK(alive_n > 0, "no surviving workers to recover onto");
   const std::size_t base = num_layers / alive_n;
   const std::size_t rem = num_layers % alive_n;
@@ -188,26 +198,13 @@ tensor::Tensor make_input(std::int64_t iter, int mb,
 void send_tensor(const comm::Communicator& c, int dst, comm::Tag tag,
                  const tensor::Tensor& t) {
   comm::Packer p;
-  p.put<std::uint64_t>(t.rows());
-  p.put<std::uint64_t>(t.cols());
-  p.put_span(t.data());
+  put_tensor(p, t);
   c.send(dst, tag, p.take());
 }
 
 tensor::Tensor tensor_from_payload(const comm::Message& m) {
   comm::Unpacker u(m.payload);
-  const auto rows = u.get<std::uint64_t>();
-  const auto cols = u.get<std::uint64_t>();
-  const auto data = u.get_vector<float>();
-  DYNMO_CHECK(data.size() == rows * cols, "tensor payload shape mismatch");
-  tensor::Tensor t(rows, cols);
-  std::copy(data.begin(), data.end(), t.data().begin());
-  return t;
-}
-
-tensor::Tensor recv_tensor(const comm::Communicator& c, int src,
-                           comm::Tag tag) {
-  return tensor_from_payload(c.recv(src, tag));
+  return get_tensor(u);
 }
 
 struct WorkerStats {
@@ -240,6 +237,560 @@ int first_hosting_stage(const pipeline::StageMap& map) {
   }
   return -1;
 }
+
+/// One rank's body: what the rank carries across the plan, and the named
+/// per-rank phases it walks through.  Worker `r` is pipeline stage `r`.
+struct Worker {
+  Worker(comm::World& world, int r, const std::vector<PlanPhase>& plan_phases,
+         const ThreadedConfig& config, const fault::FaultPlan& fault_plan,
+         telemetry::TraceWriter* tw, FaultShared* shared)
+      : rank(r), cfg(config), phases(plan_phases), trace(tw), fs(shared),
+        wcomm(world.world_comm(r)) {
+    // Every rank holds its own injector over the same (plan, seed,
+    // workers) triple — the schedule is a pure function of those, so all
+    // threads resolve the same victims at the same iterations without any
+    // extra coordination.
+    if (fs != nullptr) inj.emplace(fault_plan, cfg.workers, Rng(cfg.seed));
+  }
+
+  const int rank;
+  const ThreadedConfig& cfg;
+  const std::vector<PlanPhase>& phases;
+  telemetry::TraceWriter* const trace;
+  FaultShared* const fs;
+  const comm::Communicator wcomm;
+  std::optional<comm::Communicator> coll = wcomm;  // collective group
+  LayerWeights weights;
+  WorkerStats stats;
+  std::int64_t global_it = 0;  // consistent input stream across phases
+  std::optional<fault::Injector> inj;
+  std::vector<bool> alive =
+      std::vector<bool>(static_cast<std::size_t>(cfg.workers), true);
+  std::optional<pipeline::StageMap> override_map;  // post-loss placement
+  bool i_am_dead = false;
+  bool active_now = true;
+  int epoch = 0;      // tag namespace generation, bumped per recovery
+  int served_id = 0;  // newest recovery this rank has participated in
+  int world_active = cfg.workers;  // rank 0's view, for trace rows
+  // Per-(iteration, microbatch) output records instead of an eager XOR
+  // fold: rollback erases the records of re-executed iterations, so the
+  // end-of-run fold counts every iteration exactly once.
+  std::map<std::pair<std::int64_t, int>, std::uint64_t> outputs;
+
+  /// The whole plan, then the final report to rank 0.
+  void run() {
+    const auto& m0 = phases.front().map;
+    for (std::size_t l = m0.stage_begin(rank); l < m0.stage_end(rank); ++l) {
+      weights.emplace(l, initial_weights(l, cfg));
+    }
+    for (std::size_t pi = 0; pi < phases.size() && !i_am_dead; ++pi) {
+      const PlanPhase& phase = phases[pi];
+      const pipeline::StageMap& map = map_for(phase);
+      redistribute(pi, map);
+      if (phase.active) release(*phase.active);
+      if (!active_now) {
+        DYNMO_CHECK(map.stage_empty(rank),
+                    "phase " << pi << " maps layers onto released worker "
+                             << rank);
+        continue;
+      }
+      if (phase.prune_sparsity) prune(*phase.prune_sparsity);
+      run_iterations(phase);
+    }
+    if (fs != nullptr) {
+      if (i_am_dead) {
+        serve_as_zombie();
+      } else {
+        fs->set_monitored(rank, false);
+        fs->done_count.fetch_add(1, std::memory_order_acq_rel);
+      }
+    }
+    report();
+  }
+
+  /// Once a loss has re-packed the run onto the recovery map, later phase
+  /// maps are overridden by it.
+  const pipeline::StageMap& map_for(const PlanPhase& phase) const {
+    return override_map ? *override_map : phase.map;
+  }
+
+  /// Measured seconds since `t0`; deterministic traces zero the
+  /// measurement at the source (docs/TELEMETRY.md).
+  double measured_s(Clock::time_point t0) const {
+    return cfg.telemetry.deterministic ? 0.0 : seconds_since(t0);
+  }
+
+  bool interrupt_pending() const {
+    return fs != nullptr &&
+           fs->recovery_requested.load(std::memory_order_acquire) &&
+           fs->recovery_id.load(std::memory_order_acquire) != served_id;
+  }
+
+  /// Abortable receive: poll the mailbox, ticking this rank's heartbeat
+  /// so a healthy-but-blocked worker is never declared dead, and unwind
+  /// into the recovery rendezvous the moment one is requested.
+  comm::Message recv_msg(int src, comm::Tag tag) {
+    if (fs == nullptr) return wcomm.recv(src, tag);
+    for (;;) {
+      if (interrupt_pending()) throw RecoveryInterrupt{};
+      if (auto m = wcomm.try_recv(src, tag)) return std::move(*m);
+      fs->tick(rank);
+      std::this_thread::yield();
+    }
+  }
+
+  /// 1. Weight redistribution into this phase's placement: either an
+  /// elastic checkpoint restart (released workers may re-join) or the
+  /// P2P migration of the running pipeline.  No migration follows a loss:
+  /// the recovery map already holds every later phase.
+  void redistribute(std::size_t pi, const pipeline::StageMap& map) {
+    if (phases[pi].restart_active) {
+      restart(*phases[pi].restart_active, map);
+    } else if (pi > 0 && active_now && !override_map) {
+      migrate(phases[pi - 1].map, map);
+    }
+  }
+
+  /// Elastic restart: every rank — released ones included — joins the
+  /// checkpoint gather, the serialized blob is broadcast, and every rank
+  /// in `act` reloads the layers `map` assigns it ("the model is reloaded
+  /// and resharded among the workers during checkpoint recovery").  The
+  /// collective communicator is then created anew over the whole world —
+  /// exactly the fresh-NCCL-communicator step.
+  void restart(const std::vector<bool>& act, const pipeline::StageMap& map) {
+    const auto t0 = Clock::now();
+    std::vector<std::byte> blob = gather(map);
+    if (rank == 0) {
+      stats.bytes_checkpoint += blob.size();
+      ++stats.restarts;
+    }
+    blob = wcomm.broadcast(std::move(blob), 0);
+    active_now = act[static_cast<std::size_t>(rank)];
+    load_layers(Checkpoint::deserialize(blob), map);
+    coll = wcomm.split(active_now ? 0 : -1, rank);
+    if (rank == 0 && trace != nullptr) {
+      const int after = count_true(act);
+      telemetry::ElasticTransitionRow row;
+      row.iter = global_it;
+      row.kind = after < world_active ? "shrink" : "expand";
+      row.accepted = true;
+      row.workers_before = world_active;
+      row.workers_after = after;
+      // Measured wall stall of the whole gather/serialize/broadcast/
+      // reload/re-split sequence; the modeled breakdown terms stay 0.
+      row.stall_s = measured_s(t0);
+      trace->write_elastic_transition(row);
+      world_active = after;
+    }
+  }
+
+  /// P2P migration: each layer whose owner changed between the two maps
+  /// travels as one transfer on its own tag.
+  void migrate(const pipeline::StageMap& prev, const pipeline::StageMap& map) {
+    for (std::size_t l = 0; l < cfg.num_layers; ++l) {
+      const int src = prev.stage_of(l);
+      const int dst = map.stage_of(l);
+      if (src == dst) continue;
+      const comm::Tag tag = kMigrationBase + static_cast<comm::Tag>(l);
+      if (rank == src) {
+        auto it = weights.find(l);
+        DYNMO_CHECK(it != weights.end(), "migration source lacks layer " << l);
+        const auto t0 = Clock::now();
+        send_tensor(wcomm, dst, tag, it->second);
+        stats.bytes_migrated += it->second.bytes();
+        if (trace != nullptr) {
+          telemetry::MigrationRow mrow;
+          mrow.iter = global_it;
+          mrow.trigger = "phase";
+          mrow.layer = static_cast<std::int64_t>(l);
+          mrow.from_stage = src;
+          mrow.to_stage = dst;
+          mrow.bytes = static_cast<double>(it->second.bytes());
+          trace->write_migration(mrow);
+        }
+        weights.erase(it);
+        stats.busy_s += seconds_since(t0);
+      } else if (rank == dst) {
+        weights.emplace(l, tensor_from_payload(wcomm.recv(src, tag)));
+      }
+    }
+  }
+
+  /// 2. Worker release (re-packing): fence survivors off; released
+  /// workers idle through later phases (they can only re-join at a
+  /// restart phase) but keep walking the plan so restart collectives over
+  /// the world communicator see every rank.
+  void release(const std::vector<bool>& mask) {
+    const bool mine = mask[static_cast<std::size_t>(rank)];
+    if (!active_now) {
+      DYNMO_CHECK(!mine, "re-joining a released worker needs restart_active");
+      return;
+    }
+    DYNMO_CHECK(coll.has_value(), "active worker lost its group");
+    // Split over the *current* collective group; all members call.
+    coll = coll->split(mine ? 0 : -1, coll->rank());
+    if (!mine) {
+      DYNMO_CHECK(weights.empty(), "released worker still owns layers");
+      active_now = false;
+    }
+    if (rank == 0 && trace != nullptr) {
+      telemetry::ElasticTransitionRow row;
+      row.iter = global_it;
+      row.kind = "repack";
+      row.accepted = true;
+      row.workers_before = world_active;
+      row.workers_after = count_true(mask);
+      trace->write_elastic_transition(row);
+      world_active = row.workers_after;
+    }
+  }
+
+  /// 3. Distributed global pruning (Algorithm 1) over the collective
+  /// group.
+  void prune(double sparsity) {
+    DYNMO_CHECK(coll.has_value(), "pruning needs a collective group");
+    std::vector<float> flat;
+    std::vector<std::pair<std::uint64_t, std::size_t>> extents;
+    for (auto& [l, w] : weights) {
+      extents.emplace_back(l, w.data().size());
+      flat.insert(flat.end(), w.data().begin(), w.data().end());
+    }
+    const auto pr = dynamic::global_magnitude_prune(*coll, flat, sparsity);
+    dynamic::apply_prune_mask(flat, pr.keep_indices);
+    std::size_t off = 0;
+    for (auto& [l, n] : extents) {
+      auto dstspan = weights.at(l).data();
+      std::copy(flat.begin() + static_cast<std::ptrdiff_t>(off),
+                flat.begin() + static_cast<std::ptrdiff_t>(off + n),
+                dstspan.begin());
+      off += n;
+    }
+  }
+
+  /// 4. Pipelined iterations, after a phase-start recovery checkpoint
+  /// that guarantees a rollback target exists inside this phase before
+  /// any loss can strike.  A while-loop rather than a for: a recovery
+  /// rolls global_it back to the restored checkpoint and the lost
+  /// iterations are simply re-entered.
+  void run_iterations(const PlanPhase& phase) {
+    const std::int64_t phase_start_git = global_it;
+    if (fs != nullptr) {
+      try {
+        cut_checkpoint(map_for(phase));
+      } catch (const RecoveryInterrupt&) {
+        recover();
+      }
+    }
+    while (global_it - phase_start_git <
+           static_cast<std::int64_t>(phase.iterations)) {
+      try {
+        if (interrupt_pending()) throw RecoveryInterrupt{};
+        const pipeline::StageMap& m = map_for(phase);
+        if (m.stage_empty(rank)) {
+          // Pass-through stages idle in this runtime (fault mode never
+          // reaches here: its maps host every live worker).
+          ++global_it;
+          continue;
+        }
+        bool die_this_iter = false;
+        double slow_mult = 1.0;
+        if (inj) {
+          for (const auto& e :
+               inj->poll(static_cast<int>(global_it), alive)) {
+            if (e.kind == fault::EventKind::WorkerLoss) {
+              if (e.worker == rank) die_this_iter = true;
+            } else if (e.worker == rank && trace != nullptr) {
+              telemetry::FaultEventRow row;
+              row.iter = global_it;
+              row.kind = fault::to_string(e.kind);
+              row.worker = e.worker;
+              row.multiplier = e.multiplier;
+              row.workers_before = row.workers_after = count_true(alive);
+              trace->write_fault_event(row);
+            }
+          }
+          slow_mult = inj->multiplier(rank, static_cast<int>(global_it));
+          // Cadence checkpoint at every boundary crossing — evaluated
+          // fresh each pass, so after a rollback every rank re-crosses
+          // (and re-cuts) the same boundaries in agreement.  A dying
+          // worker skips the cut: the loss lands before the checkpoint,
+          // exactly the session's lost-work accounting.
+          if (!die_this_iter && cfg.checkpoint_interval_iters > 0 &&
+              global_it > phase_start_git &&
+              global_it % cfg.checkpoint_interval_iters == 0) {
+            cut_checkpoint(m);
+          }
+          fs->set_monitored(rank, true);
+          if ((global_it - phase_start_git) % phase.heartbeat_every == 0 &&
+              !die_this_iter) {
+            fs->tick(rank);
+          }
+        }
+        const auto iter_t0 = Clock::now();
+        forward_backward(m, slow_mult, die_this_iter);
+        ++stats.iterations_run;
+        if (rank == 0 && trace != nullptr) {
+          // Measured per-iteration wall time from rank 0's perspective
+          // (this runtime has no modeled bottleneck/idleness — those
+          // columns stay 0, docs/TELEMETRY.md "Producers").  Re-executed
+          // iterations after a recovery emit a second row for the same
+          // iter — the trace records what actually ran.
+          telemetry::IterationRow row;
+          row.iter = global_it;
+          row.time_s = measured_s(iter_t0);
+          row.active_workers = world_active;
+          trace->write_iteration(row);
+        }
+        ++global_it;
+      } catch (const RecoveryInterrupt&) {
+        recover();
+      } catch (const DeadWorker&) {
+        break;
+      }
+    }
+    if (fs != nullptr && !i_am_dead) fs->set_monitored(rank, false);
+  }
+
+  /// One iteration on map `m`: the forward sweep over microbatches, then
+  /// the backward sweep in reverse order (GPipe-style data flow; real
+  /// pipelining emerges from message availability across threads).
+  void forward_backward(const pipeline::StageMap& m, double slow_mult,
+                        bool die_this_iter) {
+    const int first = first_hosting_stage(m);
+    const int prev = prev_hosting_stage(m, rank);
+    const int next = next_hosting_stage(m, rank);
+    const int die_mb = cfg.microbatches / 2;
+    for (int mb = 0; mb < cfg.microbatches; ++mb) {
+      // The victim crashes mid-iteration: some activations of this
+      // iteration are already in flight when it goes silent.
+      if (die_this_iter && mb == die_mb) park_and_die();
+      tensor::Tensor x =
+          (rank == first)
+              ? make_input(global_it, mb, cfg)
+              : tensor_from_payload(recv_msg(prev, fwd_tag(epoch)));
+      const auto t0 = Clock::now();
+      for (std::size_t l = m.stage_begin(rank); l < m.stage_end(rank); ++l) {
+        x = tensor::matmul(x, weights.at(l));
+        tensor::relu_inplace(x);
+      }
+      book_compute(t0, slow_mult);
+      if (next >= 0) {
+        send_tensor(wcomm, next, fwd_tag(epoch), x);
+      } else {
+        outputs.insert_or_assign({global_it, mb}, checksum_floats(x.data()));
+      }
+    }
+    for (int mb = cfg.microbatches - 1; mb >= 0; --mb) {
+      tensor::Tensor g =
+          (next < 0) ? tensor::Tensor(cfg.batch_rows, cfg.hidden, 1.0f)
+                     : tensor_from_payload(recv_msg(next, bwd_tag(epoch)));
+      const auto t0 = Clock::now();
+      for (std::size_t l = m.stage_end(rank); l-- > m.stage_begin(rank);) {
+        g = tensor::matmul(g, weights.at(l));
+        if (cfg.apply_weight_update) {
+          auto w = weights.at(l).data();
+          const auto decay = static_cast<float>(1.0 - cfg.learning_rate);
+          for (float& v : w) v *= decay;
+        }
+      }
+      book_compute(t0, slow_mult);
+      if (prev >= 0) send_tensor(wcomm, prev, bwd_tag(epoch), g);
+    }
+  }
+
+  /// Books the compute begun at `t0` as busy time.  A straggler computes
+  /// at a fraction of healthy speed: the math is untouched, the wall time
+  /// stretches.
+  void book_compute(Clock::time_point t0, double slow_mult) {
+    const double busy = seconds_since(t0);
+    stats.busy_s += busy;
+    if (slow_mult < 1.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(busy * (1.0 / slow_mult - 1.0)));
+    }
+  }
+
+  /// The one checkpoint gather, shared by the recovery cut and the
+  /// elastic restart: every live rank ships its layers to rank 0 as a
+  /// Weights-field payload (empty for non-owners), and rank 0 returns the
+  /// serialized Checkpoint of the whole model at `global_it` under `map`
+  /// (every other rank an empty blob).  Restarts never run in fault mode,
+  /// so there every rank is live and recv_msg is a plain receive.
+  std::vector<std::byte> gather(const pipeline::StageMap& map) {
+    const comm::Tag tag = gather_tag(epoch);
+    comm::Packer p;
+    put_weights(p, weights);
+    wcomm.send(0, tag, p.take());
+    if (rank != 0) return {};
+    Checkpoint ckpt;
+    ckpt.iteration = global_it;
+    ckpt.stage_map = map;
+    for (int r = 0; r < wcomm.size(); ++r) {
+      if (!alive[static_cast<std::size_t>(r)]) continue;
+      const comm::Message msg = recv_msg(r, tag);
+      comm::Unpacker u(msg.payload);
+      get_weights(u, ckpt.weights);
+    }
+    DYNMO_CHECK(ckpt.weights.size() == cfg.num_layers,
+                "checkpoint covers " << ckpt.weights.size() << " of "
+                                     << cfg.num_layers << " layers");
+    return ckpt.serialize();
+  }
+
+  /// The one reload, shared by recovery and restart: take the layers
+  /// `map` assigns this rank (none for a dead rank, whose stage the
+  /// recovery map leaves empty) and the checkpoint's iteration, so
+  /// re-joining ranks continue the input stream where the others left it.
+  void load_layers(const Checkpoint& ckpt, const pipeline::StageMap& map) {
+    global_it = ckpt.iteration;
+    weights.clear();
+    for (std::size_t l = map.stage_begin(rank); l < map.stage_end(rank);
+         ++l) {
+      const auto it = ckpt.weights.find(l);
+      DYNMO_CHECK(it != ckpt.weights.end(), "checkpoint misses layer " << l);
+      weights.emplace(l, it->second);
+    }
+  }
+
+  /// Cut an in-memory recovery checkpoint; rank 0 stores the blob for
+  /// the next rollback.  Rank 0's receives are abortable — a victim that
+  /// died instead of contributing is detected by the monitor, the cut is
+  /// abandoned, and the boundary is re-cut by the survivors after
+  /// recovery.
+  void cut_checkpoint(const pipeline::StageMap& m) {
+    fs->set_monitored(rank, false);
+    std::vector<std::byte> blob = gather(m);
+    if (rank == 0) {
+      stats.bytes_checkpoint += blob.size();
+      std::scoped_lock lk(fs->mu);
+      fs->ckpt_blob = std::move(blob);
+      fs->ckpt_iter = global_it;
+    }
+    fs->set_monitored(rank, true);
+  }
+
+  /// Recovery rendezvous: every world rank — survivors, the fresh
+  /// victim, and earlier zombies — broadcasts the stored checkpoint from
+  /// rank 0, reloads it under the surviving-prefix map, rolls the
+  /// iteration stream back, and re-splits the collective group.  Tag
+  /// epoch bumps so stale in-flight messages rot unread.
+  void recover() {
+    served_id = fs->recovery_id.load(std::memory_order_acquire);
+    const auto t0 = Clock::now();
+    fs->set_monitored(rank, false);
+    const int dead = fs->dead_rank.load(std::memory_order_acquire);
+    const int before = count_true(alive);
+    std::vector<std::byte> blob;
+    if (rank == 0) {
+      std::scoped_lock lk(fs->mu);
+      DYNMO_CHECK(fs->ckpt_iter >= 0,
+                  "worker " << dead << " died before any checkpoint");
+      blob = fs->ckpt_blob;
+    }
+    blob = wcomm.broadcast(std::move(blob), 0);
+    if (dead >= 0) alive[static_cast<std::size_t>(dead)] = false;
+    const std::int64_t victim_at =
+        fs->victim_iter.load(std::memory_order_acquire);
+    override_map = recovery_map_for(cfg.num_layers, cfg.workers, alive);
+    load_layers(Checkpoint::deserialize(blob), *override_map);
+    std::erase_if(outputs, [&](const auto& kv) {
+      return kv.first.first >= global_it;
+    });
+    coll = wcomm.split(i_am_dead ? -1 : 0, rank);
+    ++epoch;
+    DYNMO_CHECK(epoch <= kMaxFaultEpochs,
+                "too many fault recoveries for the tag namespace");
+    if (rank == 0) {
+      ++stats.restarts;
+      ++stats.worker_losses;
+      stats.bytes_checkpoint += blob.size();
+      if (trace != nullptr) {
+        telemetry::FaultEventRow row;
+        row.iter = global_it;
+        row.kind = "worker_loss";
+        row.worker = dead;
+        row.workers_before = before;
+        row.workers_after = before - 1;
+        // Measured wall stall of detect-to-resume; the modeled breakdown
+        // terms stay 0 in this runtime (docs/TELEMETRY.md).
+        row.stall_s = measured_s(t0);
+        row.lost_iters = victim_at > global_it ? victim_at - global_it : 0;
+        trace->write_fault_event(row);
+      }
+      world_active = before - 1;
+      fs->recovery_requested.store(false, std::memory_order_release);
+    }
+  }
+
+  /// Crash simulation: the victim falls silent — heartbeats freeze while
+  /// it stays monitored, so the monitor (not the victim) declares the
+  /// death.  It still serves recovery collectives (every world rank must
+  /// participate in broadcast/split), then throws out to the zombie loop.
+  [[noreturn]] void park_and_die() {
+    fs->victim_iter.store(global_it, std::memory_order_release);
+    weights.clear();
+    for (;;) {
+      if (interrupt_pending()) {
+        if (fs->dead_rank.load(std::memory_order_acquire) == rank) {
+          i_am_dead = true;
+          recover();
+          throw DeadWorker{};
+        }
+        // Another rank was declared first: serve that rendezvous as a
+        // live member, then go back to being silently dead.
+        recover();
+        weights.clear();
+        fs->set_monitored(rank, true);
+        continue;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  /// Zombie service loop: a dead rank keeps answering recovery
+  /// rendezvous (broadcast/split span the whole world) until every
+  /// survivor has finished the plan.
+  void serve_as_zombie() {
+    for (;;) {
+      if (interrupt_pending()) {
+        recover();
+        continue;
+      }
+      if (fs->done_count.load(std::memory_order_acquire) >= count_true(alive)) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  /// Final reporting to rank 0 over the world communicator.
+  void report() {
+    for (const auto& kv : outputs) stats.output_checksum ^= kv.second;
+    comm::Packer p;
+    p.put(stats.busy_s);
+    p.put(stats.output_checksum);
+    p.put(stats.bytes_migrated);
+    p.put(stats.iterations_run);
+    p.put(stats.bytes_checkpoint);
+    p.put(stats.restarts);
+    p.put(stats.worker_losses);
+    // Per-layer weight checksums + nnz for everything this rank owns.
+    std::vector<std::uint64_t> layer_ids;
+    std::vector<std::uint64_t> sums;
+    std::uint64_t nnz = 0;
+    for (const auto& [l, w] : weights) {
+      layer_ids.push_back(l);
+      sums.push_back(checksum_floats(w.data()));
+      for (float v : w.data()) {
+        if (v != 0.0f) ++nnz;
+      }
+    }
+    p.put(nnz);
+    p.put_vector(layer_ids);
+    p.put_vector(sums);
+    wcomm.send(0, kStatsTag, p.take());  // rank 0 self-delivers
+  }
+};
 
 }  // namespace
 
@@ -294,7 +845,6 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
   }
 
   comm::World world(cfg_.workers, cfg_.transport);
-  const ThreadedConfig cfg = cfg_;
 
   fault::FaultPlan plan = cfg_.fault;
   if (plan.mtbf_iters > 0.0 && plan.horizon_iters == 0) {
@@ -327,616 +877,12 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
   telemetry::TraceWriter* const trace =
       trace_storage ? &*trace_storage : nullptr;
 
-  const auto worker_main = [&world, &phases, cfg, trace, fs, plan](int rank) {
-    const comm::Communicator wcomm = world.world_comm(rank);
-    std::optional<comm::Communicator> coll = wcomm;  // collective group
-    std::map<std::size_t, tensor::Tensor> weights;
-    WorkerStats stats;
-    std::int64_t global_it = 0;  // consistent input stream across phases
-
-    // Fault bookkeeping.  Every rank holds its own injector over the same
-    // (plan, seed, workers) triple — the schedule is a pure function of
-    // those, so all threads resolve the same victims at the same
-    // iterations without any extra coordination.
-    std::optional<fault::Injector> inj;
-    if (fs != nullptr) inj.emplace(plan, cfg.workers, Rng(cfg.seed));
-    std::vector<bool> alive(static_cast<std::size_t>(cfg.workers), true);
-    std::optional<pipeline::StageMap> override_map;  // post-loss placement
-    bool i_am_dead = false;
-    int epoch = 0;      // tag namespace generation, bumped per recovery
-    int served_id = 0;  // newest recovery this rank has participated in
-    // Per-(iteration, microbatch) output records instead of an eager XOR
-    // fold: rollback erases the records of re-executed iterations, so the
-    // end-of-run fold counts every iteration exactly once.
-    std::map<std::pair<std::int64_t, int>, std::uint64_t> outputs;
-
-    const auto interrupt_pending = [&]() {
-      return fs != nullptr &&
-             fs->recovery_requested.load(std::memory_order_acquire) &&
-             fs->recovery_id.load(std::memory_order_acquire) != served_id;
-    };
-    // Abortable receive: poll the mailbox, ticking this rank's heartbeat
-    // so a healthy-but-blocked worker is never declared dead, and unwind
-    // into the recovery rendezvous the moment one is requested.
-    const auto recv_msg = [&](int src, comm::Tag tag) -> comm::Message {
-      if (fs == nullptr) return wcomm.recv(src, tag);
-      for (;;) {
-        if (interrupt_pending()) throw RecoveryInterrupt{};
-        if (auto m = wcomm.try_recv(src, tag)) return std::move(*m);
-        fs->tick(rank);
-        std::this_thread::yield();
-      }
-    };
-
-    auto world_active_count = [&]() {
-      int n = 0;
-      for (const bool a : alive) n += a ? 1 : 0;
-      return n;
-    };
-
-    int world_active = cfg.workers;  // rank 0's view, for trace rows
-
-    // Recovery rendezvous: every world rank — survivors, the fresh
-    // victim, and earlier zombies — broadcasts the stored checkpoint from
-    // rank 0, reloads it under the surviving-prefix map, rolls the
-    // iteration stream back, and re-splits the collective group.  Tag
-    // epoch bumps so stale in-flight messages rot unread.
-    const auto do_recovery = [&]() {
-      served_id = fs->recovery_id.load(std::memory_order_acquire);
-      const auto t0 = std::chrono::steady_clock::now();
-      fs->set_monitored(rank, false);
-      const int dead = fs->dead_rank.load(std::memory_order_acquire);
-      const int before = world_active_count();
-      std::vector<std::byte> blob;
-      if (rank == 0) {
-        std::scoped_lock lk(fs->mu);
-        DYNMO_CHECK(fs->ckpt_iter >= 0,
-                    "worker " << dead << " died before any checkpoint");
-        blob = fs->ckpt_blob;
-      }
-      blob = wcomm.broadcast(std::move(blob), 0);
-      const Checkpoint ckpt = Checkpoint::deserialize(blob);
-      if (dead >= 0) alive[static_cast<std::size_t>(dead)] = false;
-      const std::int64_t victim_at =
-          fs->victim_iter.load(std::memory_order_acquire);
-      global_it = ckpt.iteration;
-      override_map = recovery_map_for(cfg.num_layers, cfg.workers, alive);
-      weights.clear();
-      if (!i_am_dead) {
-        for (std::size_t l = override_map->stage_begin(rank);
-             l < override_map->stage_end(rank); ++l) {
-          const auto it = ckpt.weights.find(l);
-          DYNMO_CHECK(it != ckpt.weights.end(),
-                      "recovery checkpoint misses layer " << l);
-          weights.emplace(l, it->second);
-        }
-      }
-      std::erase_if(outputs, [&](const auto& kv) {
-        return kv.first.first >= global_it;
-      });
-      coll = wcomm.split(i_am_dead ? -1 : 0, rank);
-      ++epoch;
-      DYNMO_CHECK(epoch <= kMaxFaultEpochs,
-                  "too many fault recoveries for the tag namespace");
-      if (rank == 0) {
-        ++stats.restarts;
-        ++stats.worker_losses;
-        stats.bytes_checkpoint += blob.size();
-        if (trace != nullptr) {
-          telemetry::FaultEventRow row;
-          row.iter = global_it;
-          row.kind = "worker_loss";
-          row.worker = dead;
-          row.workers_before = before;
-          row.workers_after = before - 1;
-          // Measured wall stall of detect-to-resume; the modeled
-          // breakdown terms stay 0 in this runtime (docs/TELEMETRY.md).
-          // Deterministic traces zero the measurement at the source.
-          row.stall_s = cfg.telemetry.deterministic
-                            ? 0.0
-                            : std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-          row.lost_iters = victim_at > global_it ? victim_at - global_it : 0;
-          trace->write_fault_event(row);
-        }
-        world_active = before - 1;
-        fs->recovery_requested.store(false, std::memory_order_release);
-      }
-    };
-
-    // Cut an in-memory recovery checkpoint: every surviving rank ships
-    // its layers to rank 0, which assembles, serializes, and stores the
-    // blob for the next rollback.  Rank 0's receives are abortable — a
-    // victim that died instead of contributing is detected by the
-    // monitor, the cut is abandoned, and the boundary is re-cut by the
-    // survivors after recovery.
-    const auto cut_checkpoint = [&](const pipeline::StageMap& m) {
-      fs->set_monitored(rank, false);
-      const comm::Tag gtag = gather_tag(epoch);
-      {
-        comm::Packer p;
-        p.put<std::uint64_t>(weights.size());
-        for (const auto& [l, w] : weights) {
-          p.put<std::uint64_t>(l);
-          p.put<std::uint64_t>(w.rows());
-          p.put<std::uint64_t>(w.cols());
-          p.put_span(w.data());
-        }
-        wcomm.send(0, gtag, p.take());
-      }
-      if (rank == 0) {
-        Checkpoint ckpt;
-        ckpt.iteration = global_it;
-        ckpt.stage_map = m;
-        for (int r = 0; r < wcomm.size(); ++r) {
-          if (!alive[static_cast<std::size_t>(r)]) continue;
-          const comm::Message msg = recv_msg(r, gtag);
-          comm::Unpacker u(msg.payload);
-          const auto n = u.get<std::uint64_t>();
-          for (std::uint64_t i = 0; i < n; ++i) {
-            const auto l = u.get<std::uint64_t>();
-            const auto rows = u.get<std::uint64_t>();
-            const auto cols = u.get<std::uint64_t>();
-            const auto data = u.get_vector<float>();
-            tensor::Tensor t(rows, cols);
-            std::copy(data.begin(), data.end(), t.data().begin());
-            ckpt.weights.emplace(l, std::move(t));
-          }
-        }
-        DYNMO_CHECK(ckpt.weights.size() == cfg.num_layers,
-                    "recovery checkpoint covers "
-                        << ckpt.weights.size() << " of " << cfg.num_layers
-                        << " layers");
-        std::vector<std::byte> blob = ckpt.serialize();
-        stats.bytes_checkpoint += blob.size();
-        std::scoped_lock lk(fs->mu);
-        fs->ckpt_blob = std::move(blob);
-        fs->ckpt_iter = global_it;
-      }
-      fs->set_monitored(rank, true);
-    };
-
-    // Crash simulation: the victim falls silent — heartbeats freeze while
-    // it stays monitored, so the monitor (not the victim) declares the
-    // death.  It still serves recovery collectives (every world rank must
-    // participate in broadcast/split), then throws out to the zombie loop.
-    const auto park_and_die = [&]() {
-      fs->victim_iter.store(global_it, std::memory_order_release);
-      weights.clear();
-      for (;;) {
-        if (interrupt_pending()) {
-          if (fs->dead_rank.load(std::memory_order_acquire) == rank) {
-            i_am_dead = true;
-            do_recovery();
-            throw DeadWorker{};
-          }
-          // Another rank was declared first: serve that rendezvous as a
-          // live member, then go back to being silently dead.
-          do_recovery();
-          weights.clear();
-          fs->set_monitored(rank, true);
-          continue;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    };
-
-    // Materialize phase-0 ownership.
-    {
-      const auto& m0 = phases.front().map;
-      for (std::size_t l = m0.stage_begin(rank); l < m0.stage_end(rank);
-           ++l) {
-        weights.emplace(l, initial_weights(l, cfg));
-      }
-    }
-
-    bool active_now = true;
-    for (std::size_t pi = 0; pi < phases.size() && !i_am_dead; ++pi) {
-      const auto& phase = phases[pi];
-      const pipeline::StageMap& map =
-          override_map ? *override_map : phase.map;
-
-      // 1. Weight redistribution into this phase's placement: either an
-      // elastic checkpoint restart (released workers may re-join) or the
-      // P2P migration of the running pipeline.  Once a loss has re-packed
-      // the run onto the recovery map, later phase maps are overridden by
-      // it and no migration is needed.
-      if (phase.restart_active) {
-        const auto& act = *phase.restart_active;
-        const auto restart_t0 = std::chrono::steady_clock::now();
-        // 1a. Every rank — released ones included — ships the layers it
-        // owns to rank 0 (an empty set for non-owners), which assembles
-        // the Checkpoint and pushes it through the real binary format.
-        {
-          comm::Packer p;
-          p.put<std::uint64_t>(weights.size());
-          for (const auto& [l, w] : weights) {
-            p.put<std::uint64_t>(l);
-            p.put<std::uint64_t>(w.rows());
-            p.put<std::uint64_t>(w.cols());
-            p.put_span(w.data());
-          }
-          wcomm.send(0, gather_tag(epoch), p.take());
-        }
-        std::vector<std::byte> blob;
-        if (rank == 0) {
-          Checkpoint ckpt;
-          ckpt.iteration = global_it;
-          ckpt.stage_map = map;
-          for (int r = 0; r < wcomm.size(); ++r) {
-            const comm::Message m = wcomm.recv(r, gather_tag(epoch));
-            comm::Unpacker u(m.payload);
-            const auto n = u.get<std::uint64_t>();
-            for (std::uint64_t i = 0; i < n; ++i) {
-              const auto l = u.get<std::uint64_t>();
-              const auto rows = u.get<std::uint64_t>();
-              const auto cols = u.get<std::uint64_t>();
-              const auto data = u.get_vector<float>();
-              tensor::Tensor t(rows, cols);
-              std::copy(data.begin(), data.end(), t.data().begin());
-              ckpt.weights.emplace(l, std::move(t));
-            }
-          }
-          DYNMO_CHECK(ckpt.weights.size() == cfg.num_layers,
-                      "restart checkpoint covers " << ckpt.weights.size()
-                                                   << " of "
-                                                   << cfg.num_layers
-                                                   << " layers");
-          blob = ckpt.serialize();
-          stats.bytes_checkpoint += blob.size();
-          ++stats.restarts;
-        }
-        // 1b. Broadcast the serialized checkpoint; every rank reloads the
-        // layers the new map assigns it ("the model is reloaded and
-        // resharded among the workers during checkpoint recovery").
-        blob = wcomm.broadcast(std::move(blob), 0);
-        const Checkpoint ckpt = Checkpoint::deserialize(blob);
-        global_it = ckpt.iteration;  // re-joining ranks sync the stream
-        weights.clear();
-        active_now = act[static_cast<std::size_t>(rank)];
-        if (active_now) {
-          for (std::size_t l = map.stage_begin(rank);
-               l < map.stage_end(rank); ++l) {
-            const auto it = ckpt.weights.find(l);
-            DYNMO_CHECK(it != ckpt.weights.end(),
-                        "checkpoint misses layer " << l);
-            weights.emplace(l, it->second);
-          }
-        }
-        // 1c. The restart creates the collective communicator anew over
-        // the whole world — exactly the fresh-NCCL-communicator step.
-        coll = wcomm.split(active_now ? 0 : -1, rank);
-        if (rank == 0 && trace != nullptr) {
-          int after = 0;
-          for (const bool a : act) after += a ? 1 : 0;
-          telemetry::ElasticTransitionRow row;
-          row.iter = global_it;
-          row.kind = after < world_active ? "shrink" : "expand";
-          row.accepted = true;
-          row.workers_before = world_active;
-          row.workers_after = after;
-          // Measured wall stall of the whole gather/serialize/broadcast/
-          // reload/re-split sequence; the modeled breakdown terms stay 0.
-          row.stall_s = cfg.telemetry.deterministic
-                            ? 0.0
-                            : std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() -
-                                  restart_t0)
-                                  .count();
-          trace->write_elastic_transition(row);
-          world_active = after;
-        }
-      } else if (pi > 0 && active_now && !override_map) {
-        const auto& prev = phases[pi - 1].map;
-        for (std::size_t l = 0; l < cfg.num_layers; ++l) {
-          const int src = prev.stage_of(l);
-          const int dst = map.stage_of(l);
-          if (src == dst) continue;
-          if (rank == src) {
-            auto it = weights.find(l);
-            DYNMO_CHECK(it != weights.end(),
-                        "migration source lacks layer " << l);
-            const auto t0 = std::chrono::steady_clock::now();
-            send_tensor(wcomm, dst, kMigrationBase + static_cast<comm::Tag>(l),
-                        it->second);
-            stats.bytes_migrated += it->second.bytes();
-            if (trace != nullptr) {
-              telemetry::MigrationRow mrow;
-              mrow.iter = global_it;
-              mrow.trigger = "phase";
-              mrow.layer = static_cast<std::int64_t>(l);
-              mrow.from_stage = src;
-              mrow.to_stage = dst;
-              mrow.bytes = static_cast<double>(it->second.bytes());
-              trace->write_migration(mrow);
-            }
-            weights.erase(it);
-            stats.busy_s += std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-          } else if (rank == dst) {
-            weights.emplace(
-                l, recv_tensor(wcomm, src,
-                               kMigrationBase + static_cast<comm::Tag>(l)));
-          }
-        }
-      }
-
-      // 2. Worker release (re-packing): fence survivors off; released
-      // workers idle through later phases (they can only re-join at a
-      // restart phase) but keep walking the plan so restart collectives
-      // over the world communicator see every rank.
-      if (phase.active) {
-        if (active_now) {
-          DYNMO_CHECK(coll.has_value(), "active worker lost its group");
-          const bool mine = (*phase.active)[static_cast<std::size_t>(rank)];
-          // Split over the *current* collective group; all members call.
-          coll = coll->split(mine ? 0 : -1, coll->rank());
-          if (!mine) {
-            DYNMO_CHECK(weights.empty(),
-                        "released worker still owns layers");
-            active_now = false;
-          }
-          if (rank == 0 && trace != nullptr) {
-            int after = 0;
-            for (const bool a : *phase.active) after += a ? 1 : 0;
-            telemetry::ElasticTransitionRow row;
-            row.iter = global_it;
-            row.kind = "repack";
-            row.accepted = true;
-            row.workers_before = world_active;
-            row.workers_after = after;
-            trace->write_elastic_transition(row);
-            world_active = after;
-          }
-        } else {
-          DYNMO_CHECK(!(*phase.active)[static_cast<std::size_t>(rank)],
-                      "re-joining a released worker needs restart_active");
-        }
-      }
-      if (!active_now) {
-        DYNMO_CHECK(map.stage_empty(rank),
-                    "phase " << pi << " maps layers onto released worker "
-                             << rank);
-        continue;
-      }
-
-      // 3. Distributed global pruning (Algorithm 1) over the collective
-      // group.
-      if (phase.prune_sparsity) {
-        DYNMO_CHECK(coll.has_value(), "pruning needs a collective group");
-        std::vector<float> flat;
-        std::vector<std::pair<std::size_t, std::size_t>> extents;
-        for (auto& [l, w] : weights) {
-          extents.emplace_back(l, w.data().size());
-          flat.insert(flat.end(), w.data().begin(), w.data().end());
-        }
-        const auto pr = dynamic::global_magnitude_prune(*coll, flat,
-                                                        *phase.prune_sparsity);
-        dynamic::apply_prune_mask(flat, pr.keep_indices);
-        std::size_t off = 0;
-        for (auto& [l, n] : extents) {
-          auto dstspan = weights.at(l).data();
-          std::copy(flat.begin() + static_cast<std::ptrdiff_t>(off),
-                    flat.begin() + static_cast<std::ptrdiff_t>(off + n),
-                    dstspan.begin());
-          off += n;
-        }
-      }
-
-      // 3b. Phase-start recovery checkpoint: guarantees a rollback target
-      // exists inside this phase before any loss can strike, and caps the
-      // lost-work window at the cadence below.
-      std::int64_t phase_start_git = global_it;
-      if (fs != nullptr) {
-        try {
-          cut_checkpoint(map);
-        } catch (const RecoveryInterrupt&) {
-          do_recovery();
-        }
-      }
-
-      // 4. Pipelined iterations.  A while-loop rather than a for: a
-      // recovery rolls global_it back to the restored checkpoint and the
-      // lost iterations are simply re-entered.
-      while (global_it - phase_start_git <
-             static_cast<std::int64_t>(phase.iterations)) {
-        try {
-          if (interrupt_pending()) throw RecoveryInterrupt{};
-          const pipeline::StageMap& m =
-              override_map ? *override_map : phase.map;
-          if (m.stage_empty(rank)) {
-            // Pass-through stages idle in this runtime (fault mode never
-            // reaches here: its maps host every live worker).
-            ++global_it;
-            continue;
-          }
-          bool die_this_iter = false;
-          double slow_mult = 1.0;
-          if (inj) {
-            for (const auto& e :
-                 inj->poll(static_cast<int>(global_it), alive)) {
-              if (e.kind == fault::EventKind::WorkerLoss) {
-                if (e.worker == rank) die_this_iter = true;
-              } else if (e.worker == rank && trace != nullptr) {
-                telemetry::FaultEventRow row;
-                row.iter = global_it;
-                row.kind = fault::to_string(e.kind);
-                row.worker = e.worker;
-                row.multiplier = e.multiplier;
-                row.workers_before = row.workers_after =
-                    world_active_count();
-                trace->write_fault_event(row);
-              }
-            }
-            slow_mult =
-                inj->multiplier(rank, static_cast<int>(global_it));
-            // Cadence checkpoint at every boundary crossing — evaluated
-            // fresh each pass, so after a rollback every rank re-crosses
-            // (and re-cuts) the same boundaries in agreement.  A dying
-            // worker skips the cut: the loss lands before the checkpoint,
-            // exactly the session's lost-work accounting.
-            if (!die_this_iter && cfg.checkpoint_interval_iters > 0 &&
-                global_it > phase_start_git &&
-                global_it % cfg.checkpoint_interval_iters == 0) {
-              cut_checkpoint(m);
-            }
-            fs->set_monitored(rank, true);
-            if ((global_it - phase_start_git) % phase.heartbeat_every == 0 &&
-                !die_this_iter) {
-              fs->tick(rank);
-            }
-          }
-          const int first = first_hosting_stage(m);
-          const int prev = prev_hosting_stage(m, rank);
-          const int next = next_hosting_stage(m, rank);
-          const int die_mb = cfg.microbatches / 2;
-          const auto iter_t0 = std::chrono::steady_clock::now();
-          // Forward sweep over microbatches (GPipe-style data flow; real
-          // pipelining emerges from message availability across threads).
-          for (int mb = 0; mb < cfg.microbatches; ++mb) {
-            // The victim crashes mid-iteration: some activations of this
-            // iteration are already in flight when it goes silent.
-            if (die_this_iter && mb == die_mb) park_and_die();
-            tensor::Tensor x =
-                (rank == first)
-                    ? make_input(global_it, mb, cfg)
-                    : tensor_from_payload(recv_msg(prev, fwd_tag(epoch)));
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t l = m.stage_begin(rank); l < m.stage_end(rank);
-                 ++l) {
-              x = tensor::matmul(x, weights.at(l));
-              tensor::relu_inplace(x);
-            }
-            const double busy = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
-            stats.busy_s += busy;
-            // A straggler computes at a fraction of healthy speed: the
-            // math is untouched, the wall time stretches.
-            if (slow_mult < 1.0) {
-              std::this_thread::sleep_for(std::chrono::duration<double>(
-                  busy * (1.0 / slow_mult - 1.0)));
-            }
-            if (next >= 0) {
-              send_tensor(wcomm, next, fwd_tag(epoch), x);
-            } else {
-              outputs.insert_or_assign({global_it, mb},
-                                       checksum_floats(x.data()));
-            }
-          }
-          // Backward sweep (reverse microbatch order).
-          for (int mb = cfg.microbatches - 1; mb >= 0; --mb) {
-            tensor::Tensor g =
-                (next < 0)
-                    ? tensor::Tensor(cfg.batch_rows, cfg.hidden, 1.0f)
-                    : tensor_from_payload(recv_msg(next, bwd_tag(epoch)));
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t l = m.stage_end(rank);
-                 l-- > m.stage_begin(rank);) {
-              g = tensor::matmul(g, weights.at(l));
-              if (cfg.apply_weight_update) {
-                auto w = weights.at(l).data();
-                const auto decay =
-                    static_cast<float>(1.0 - cfg.learning_rate);
-                for (float& v : w) v *= decay;
-              }
-            }
-            const double busy = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
-            stats.busy_s += busy;
-            if (slow_mult < 1.0) {
-              std::this_thread::sleep_for(std::chrono::duration<double>(
-                  busy * (1.0 / slow_mult - 1.0)));
-            }
-            if (prev >= 0) send_tensor(wcomm, prev, bwd_tag(epoch), g);
-          }
-          ++stats.iterations_run;
-          if (rank == 0 && trace != nullptr) {
-            // Measured per-iteration wall time from rank 0's perspective
-            // (this runtime has no modeled bottleneck/idleness — those
-            // columns stay 0, docs/TELEMETRY.md "Producers").  Re-executed
-            // iterations after a recovery emit a second row for the same
-            // iter — the trace records what actually ran.
-            telemetry::IterationRow row;
-            row.iter = global_it;
-            row.time_s = cfg.telemetry.deterministic
-                             ? 0.0
-                             : std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - iter_t0)
-                                   .count();
-            row.active_workers = world_active;
-            trace->write_iteration(row);
-          }
-          ++global_it;
-        } catch (const RecoveryInterrupt&) {
-          do_recovery();
-        } catch (const DeadWorker&) {
-          break;
-        }
-      }
-      if (fs != nullptr && !i_am_dead) fs->set_monitored(rank, false);
-    }
-
-    if (fs != nullptr) {
-      if (i_am_dead) {
-        // Zombie service loop: a dead rank keeps answering recovery
-        // rendezvous (broadcast/split span the whole world) until every
-        // survivor has finished the plan.
-        for (;;) {
-          if (interrupt_pending()) {
-            do_recovery();
-            continue;
-          }
-          if (fs->done_count.load(std::memory_order_acquire) >=
-              world_active_count()) {
-            break;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      } else {
-        fs->set_monitored(rank, false);
-        fs->done_count.fetch_add(1, std::memory_order_acq_rel);
-      }
-    }
-
-    for (const auto& kv : outputs) stats.output_checksum ^= kv.second;
-
-    // Final reporting to rank 0 over the world communicator.
-    {
-      comm::Packer p;
-      p.put(stats.busy_s);
-      p.put(stats.output_checksum);
-      p.put(stats.bytes_migrated);
-      p.put(stats.iterations_run);
-      p.put(stats.bytes_checkpoint);
-      p.put(stats.restarts);
-      p.put(stats.worker_losses);
-      // Per-layer weight checksums + nnz for everything this rank owns.
-      std::vector<std::uint64_t> layer_ids;
-      std::vector<std::uint64_t> sums;
-      std::uint64_t nnz = 0;
-      for (const auto& [l, w] : weights) {
-        layer_ids.push_back(l);
-        sums.push_back(checksum_floats(w.data()));
-        for (float v : w.data()) {
-          if (v != 0.0f) ++nnz;
-        }
-      }
-      p.put(nnz);
-      p.put_vector(layer_ids);
-      p.put_vector(sums);
-      wcomm.send(0, kStatsTag, p.take());  // rank 0 self-delivers
-    }
-  };
-
-  const auto wall0 = std::chrono::steady_clock::now();
+  const auto wall0 = Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int r = 0; r < cfg_.workers; ++r) {
-    threads.emplace_back(worker_main, r);
+    threads.emplace_back(
+        [&, r] { Worker(world, r, phases, cfg_, plan, trace, fs).run(); });
   }
 
   // Rank "-1" aggregator: main thread reads rank 0's mailbox after joining.
@@ -945,7 +891,7 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
     fs->stop.store(true, std::memory_order_release);
     monitor.join();
   }
-  const auto wall1 = std::chrono::steady_clock::now();
+  const auto wall1 = Clock::now();
 
   ThreadedReport report;
   report.wall_s = std::chrono::duration<double>(wall1 - wall0).count();

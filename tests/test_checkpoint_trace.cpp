@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -49,6 +51,45 @@ TEST(Checkpoint, RejectsTruncation) {
   auto bytes = sample_checkpoint().serialize();
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW((void)runtime::Checkpoint::deserialize(bytes), Error);
+}
+
+/// A tensor payload with a chosen shape header and float count.
+std::vector<std::byte> tensor_payload(std::uint64_t rows, std::uint64_t cols,
+                                      std::size_t floats) {
+  comm::Packer p;
+  p.put(rows);
+  p.put(cols);
+  p.put_vector(std::vector<float>(floats, 1.5f));
+  return p.take();
+}
+
+TEST(TensorCodec, RejectsShapeCountMismatch) {
+  for (const auto& bytes : {
+           tensor_payload(2, 3, 5),  // short
+           tensor_payload(2, 3, 7),  // long
+           // rows * cols wraps to 0 in 64 bits: a multiply check passes.
+           tensor_payload(std::uint64_t{1} << 32, std::uint64_t{1} << 32, 0),
+       }) {
+    comm::Unpacker u(bytes);
+    EXPECT_THROW((void)runtime::get_tensor(u), Error);
+  }
+}
+
+TEST(TensorCodec, RoundTripsBitForBit) {
+  Rng rng(17);
+  auto t = tensor::Tensor::random(3, 5, rng);
+  t.data()[4] = -0.0f;
+  t.data()[7] = std::numeric_limits<float>::denorm_min();
+  comm::Packer p;
+  runtime::put_tensor(p, t);
+  const auto bytes = p.take();
+  comm::Unpacker u(bytes);
+  const auto back = runtime::get_tensor(u);
+  EXPECT_TRUE(u.exhausted());
+  ASSERT_TRUE(back.same_shape(t));
+  EXPECT_EQ(std::memcmp(back.data().data(), t.data().data(),
+                        t.data().size() * sizeof(float)),
+            0);
 }
 
 TEST(Checkpoint, RejectsForeignMagic) {

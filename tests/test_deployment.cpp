@@ -221,7 +221,9 @@ TEST(RepackDeployment, FirstFitVacatesWholeNodes) {
   }
   // Memory conserved and within capacity.
   for (std::size_t w = 0; w < 4; ++w) {
-    if (res.active[w]) EXPECT_LT(res.mem_usage[w], 100.0);
+    if (res.active[w]) {
+      EXPECT_LT(res.mem_usage[w], 100.0);
+    }
   }
 }
 

@@ -417,7 +417,9 @@ TEST(Mod, RoutedFractionBounds) {
       const double f = eng.routed_fraction(l, it);
       EXPECT_GE(f, 0.05);
       EXPECT_LE(f, 1.0);
-      if (!eng.is_mod_block(l)) EXPECT_DOUBLE_EQ(f, 1.0);
+      if (!eng.is_mod_block(l)) {
+        EXPECT_DOUBLE_EQ(f, 1.0);
+      }
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -400,9 +401,15 @@ runtime::ThreadedConfig threaded_fault_config() {
   return cfg;
 }
 
+runtime::PlanPhase plan_phase(pipeline::StageMap map, int iterations) {
+  runtime::PlanPhase ph;
+  ph.map = std::move(map);
+  ph.iterations = iterations;
+  return ph;
+}
+
 std::vector<runtime::PlanPhase> threaded_fault_plan(int iterations) {
-  return {{.map = pipeline::StageMap::uniform(6, 3),
-           .iterations = iterations}};
+  return {plan_phase(pipeline::StageMap::uniform(6, 3), iterations)};
 }
 
 // The acceptance-criterion test (ISSUE 8): a threaded run that loses a
@@ -451,10 +458,9 @@ TEST(ThreadedFault, LossComposesWithAMigrationPhasePlan) {
   cfg.checkpoint_interval_iters = 0;  // phase-start cuts only
   cfg.fault.losses = {{.iter = 7, .worker = 1}};
   std::vector<runtime::PlanPhase> plan = {
-      {.map = pipeline::StageMap::uniform(8, 4), .iterations = 5},
-      {.map = pipeline::StageMap::from_boundaries({0, 3, 5, 7, 8}),
-       .iterations = 5},
-      {.map = pipeline::StageMap::uniform(8, 4), .iterations = 5}};
+      plan_phase(pipeline::StageMap::uniform(8, 4), 5),
+      plan_phase(pipeline::StageMap::from_boundaries({0, 3, 5, 7, 8}), 5),
+      plan_phase(pipeline::StageMap::uniform(8, 4), 5)};
   runtime::ThreadedPipeline faulty(cfg);
   const auto a = faulty.run(plan);
   EXPECT_EQ(a.worker_losses, 1);
@@ -489,14 +495,12 @@ TEST(ThreadedFault, FaultPlansRejectScriptedReleasesAndEmptyStages) {
   cfg.fault.losses = {{.iter = 2, .worker = 1}};
   runtime::ThreadedPipeline p(cfg);
   std::vector<runtime::PlanPhase> release_plan = {
-      {.map = pipeline::StageMap::uniform(6, 3), .iterations = 2},
-      {.map = pipeline::StageMap::from_boundaries({0, 3, 6, 6}),
-       .iterations = 2,
-       .active = std::vector<bool>{true, true, false}}};
+      plan_phase(pipeline::StageMap::uniform(6, 3), 2),
+      plan_phase(pipeline::StageMap::from_boundaries({0, 3, 6, 6}), 2)};
+  release_plan[1].active = std::vector<bool>{true, true, false};
   EXPECT_THROW((void)p.run(release_plan), Error);
   std::vector<runtime::PlanPhase> empty_stage_plan = {
-      {.map = pipeline::StageMap::from_boundaries({0, 3, 6, 6}),
-       .iterations = 2}};
+      plan_phase(pipeline::StageMap::from_boundaries({0, 3, 6, 6}), 2)};
   EXPECT_THROW((void)p.run(empty_stage_plan), Error);
 }
 

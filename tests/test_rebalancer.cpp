@@ -74,7 +74,9 @@ TEST(Rebalancer, OverheadBreakdownPopulated) {
               out.overhead.profile_s + out.overhead.decide_s +
                   out.overhead.migrate_s,
               1e-15);
-  if (!out.migration.empty()) EXPECT_GT(out.overhead.migrate_s, 0.0);
+  if (!out.migration.empty()) {
+    EXPECT_GT(out.overhead.migrate_s, 0.0);
+  }
 }
 
 TEST(Rebalancer, MemoryCapacityForwarded) {

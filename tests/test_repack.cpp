@@ -26,7 +26,9 @@ TEST(FirstFit, MergesPairsUnderCapacity) {
   EXPECT_DOUBLE_EQ(total, 120.0);
   // No active worker exceeds capacity.
   for (std::size_t i = 0; i < res.active.size(); ++i) {
-    if (res.active[i]) EXPECT_LT(res.mem_usage[i], 100.0);
+    if (res.active[i]) {
+      EXPECT_LT(res.mem_usage[i], 100.0);
+    }
   }
 }
 

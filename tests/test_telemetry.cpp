@@ -242,8 +242,12 @@ TEST(Telemetry, SessionTraceMatchesCatalog) {
 
   // Catalog row counts agree with what the files actually hold.
   for (const auto& t : reader.catalog().tables) {
-    if (t.name == "iterations") EXPECT_EQ(t.rows, 40);
-    if (t.name == "stage_loads") EXPECT_EQ(t.rows, 40 * 8);
+    if (t.name == "iterations") {
+      EXPECT_EQ(t.rows, 40);
+    }
+    if (t.name == "stage_loads") {
+      EXPECT_EQ(t.rows, 40 * 8);
+    }
     if (t.name == "rebalance_decisions") {
       EXPECT_EQ(t.rows, static_cast<std::int64_t>(
                             reader.rebalance_decisions().size()));

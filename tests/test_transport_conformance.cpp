@@ -247,7 +247,9 @@ TEST_P(TransportConformance, TryRecvThrowsAfterShutdownWhenDrained) {
   Communicator c = world.world_comm(1);
   run_ranks(world, 2, [](int rank, Communicator& cc) {
     if (rank == 0) cc.send_value(1, 3, 42);
-    if (rank == 1) EXPECT_EQ(cc.recv_value<int>(0, 3), 42);
+    if (rank == 1) {
+      EXPECT_EQ(cc.recv_value<int>(0, 3), 42);
+    }
   });
   EXPECT_EQ(c.try_recv(0, 3), std::nullopt);  // open + empty: "nothing yet"
   world.shutdown();
@@ -333,6 +335,47 @@ TEST(TransportParity, ThreadedRuntimeChecksumsMatchAcrossBackends) {
   EXPECT_EQ(inproc.weight_checksums, socket.weight_checksums);
   EXPECT_EQ(inproc.bytes_migrated, socket.bytes_migrated);
   EXPECT_NE(socket.output_checksum, 0u);
+}
+
+TEST(TransportParity, ThreadedRestartPathsMatchAcrossBackends) {
+  // Every redistribution the threaded runtime has, on both backends: a
+  // P2P migration with a global prune, a release through `active`, then a
+  // checkpoint-coordinated shrink and expand through `restart_active`.
+  const auto run_on = [](TransportKind k) {
+    runtime::ThreadedConfig cfg;
+    cfg.workers = 4;
+    cfg.num_layers = 8;
+    cfg.hidden = 8;
+    cfg.batch_rows = 2;
+    cfg.microbatches = 2;
+    cfg.apply_weight_update = true;
+    cfg.transport = k;
+    runtime::ThreadedPipeline pipe(cfg);
+    std::vector<runtime::PlanPhase> plan(5);
+    plan[0].map = pipeline::StageMap::uniform(8, 4);
+    plan[1].map = pipeline::StageMap::from_boundaries({0, 1, 3, 6, 8});
+    plan[1].prune_sparsity = 0.5;
+    plan[2].map = pipeline::StageMap::from_boundaries({0, 3, 5, 8, 8});
+    plan[2].active = std::vector<bool>{true, true, true, false};
+    plan[3].map = pipeline::StageMap::from_boundaries({0, 4, 8, 8, 8});
+    plan[3].restart_active = std::vector<bool>{true, true, false, false};
+    plan[4].map = pipeline::StageMap::uniform(8, 4);
+    plan[4].restart_active = std::vector<bool>{true, true, true, true};
+    for (auto& ph : plan) ph.iterations = 2;
+    return pipe.run(plan);
+  };
+  const auto inproc = run_on(TransportKind::InProc);
+  const auto socket = run_on(TransportKind::Socket);
+  EXPECT_EQ(inproc.output_checksum, socket.output_checksum);
+  EXPECT_EQ(inproc.weight_checksums, socket.weight_checksums);
+  EXPECT_EQ(inproc.bytes_migrated, socket.bytes_migrated);
+  EXPECT_EQ(inproc.bytes_checkpoint, socket.bytes_checkpoint);
+  EXPECT_EQ(inproc.restarts, socket.restarts);
+  EXPECT_EQ(socket.restarts, 2);
+  EXPECT_GT(socket.bytes_migrated, 0u);
+  // Two serialized checkpoints of 8 layers of 8x8 floats each; a change
+  // to the gathered or broadcast bytes moves this figure.
+  EXPECT_EQ(socket.bytes_checkpoint, 4864u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,

@@ -213,8 +213,10 @@ int run_threaded_fault(const std::string& out, dynmo::comm::TransportKind k) {
   cfg.seed = 0xfee1;
   cfg.heartbeat_timeout_s = 0.15;
   cfg.transport = k;
-  const std::vector<runtime::PlanPhase> plan = {
-      {.map = pipeline::StageMap::uniform(6, 3), .iterations = 10}};
+  runtime::PlanPhase phase;
+  phase.map = pipeline::StageMap::uniform(6, 3);
+  phase.iterations = 10;
+  const std::vector<runtime::PlanPhase> plan = {phase};
 
   // Fault-free twin first: the reference the recovery must reproduce.
   runtime::ThreadedPipeline clean(cfg);
