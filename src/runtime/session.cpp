@@ -326,7 +326,7 @@ void TrainingSession::emit_migration_rows(std::int64_t iter,
     row.from_stage = t.src_stage;
     row.to_stage = t.dst_stage;
     row.bytes = t.bytes;
-    trace->write_migration(row);
+    trace->write(row);
   }
 }
 
@@ -386,7 +386,7 @@ void TrainingSession::account_outcome(const balance::RebalanceOutcome& outcome,
     row.imbalance_after = outcome.imbalance_after;
     // Already zeroed by run_rebalance() under telemetry.deterministic.
     row.decide_s = outcome.overhead.decide_s;
-    R.trace->write_rebalance_decision(row);
+    R.trace->write(row);
     emit_migration_rows(iter, trigger, outcome.migration);
   }
 }
@@ -721,7 +721,7 @@ void TrainingSession::emit_transition(const char* kind, bool accepted,
   row.ckpt_read_s = stall.ckpt_read_s;
   row.projected_gain_s = projected_gain_s;
   row.migrated_bytes = migrated_bytes;
-  R.trace->write_elastic_transition(row);
+  R.trace->write(row);
 }
 
 // --- step() phases, in the order step() runs them ---------------------
@@ -787,7 +787,7 @@ bool TrainingSession::poll_faults(StepCharges& charges) {
       row.multiplier = e.multiplier;
       row.workers_before = R.active;
       row.workers_after = R.active;
-      R.trace->write_fault_event(row);
+      R.trace->write(row);
     }
   }
   return true;
@@ -819,7 +819,7 @@ void TrainingSession::execute_worker_loss(int victim, StepCharges& charges) {
     row.ckpt_read_s = st.ckpt_read_s;
     row.lost_work_s = lost_work;
     row.lost_iters = lost_iters;
-    R.trace->write_fault_event(row);
+    R.trace->write(row);
   };
 
   const auto rp = pack_onto(mem, std::max(target, 1));
@@ -1181,7 +1181,7 @@ double TrainingSession::record_window(IterationSample sample,
         row.layer_mem.assign(mem.begin() + row.layer_begin,
                              mem.begin() + row.layer_end);
       }
-      R.trace->write_stage_load(row);
+      R.trace->write(row);
     }
     telemetry::IterationRow irow;
     irow.iter = sample.iter;
@@ -1194,7 +1194,7 @@ double TrainingSession::record_window(IterationSample sample,
     irow.compute_fraction = sample.compute_fraction;
     irow.rebalanced = sample.rebalanced;
     irow.stall_s = charges.restart_stall_s;
-    R.trace->write_iteration(irow);
+    R.trace->write(irow);
   }
   return step_s;
 }

@@ -379,7 +379,7 @@ struct Worker {
       // Measured wall stall of the whole gather/serialize/broadcast/
       // reload/re-split sequence; the modeled breakdown terms stay 0.
       row.stall_s = measured_s(t0);
-      trace->write_elastic_transition(row);
+      trace->write(row);
       world_active = after;
     }
   }
@@ -406,7 +406,7 @@ struct Worker {
           mrow.from_stage = src;
           mrow.to_stage = dst;
           mrow.bytes = static_cast<double>(it->second.bytes());
-          trace->write_migration(mrow);
+          trace->write(mrow);
         }
         weights.erase(it);
         stats.busy_s += seconds_since(t0);
@@ -440,7 +440,7 @@ struct Worker {
       row.accepted = true;
       row.workers_before = world_active;
       row.workers_after = count_true(mask);
-      trace->write_elastic_transition(row);
+      trace->write(row);
       world_active = row.workers_after;
     }
   }
@@ -506,7 +506,7 @@ struct Worker {
               row.worker = e.worker;
               row.multiplier = e.multiplier;
               row.workers_before = row.workers_after = count_true(alive);
-              trace->write_fault_event(row);
+              trace->write(row);
             }
           }
           slow_mult = inj->multiplier(rank, static_cast<int>(global_it));
@@ -539,7 +539,7 @@ struct Worker {
           row.iter = global_it;
           row.time_s = measured_s(iter_t0);
           row.active_workers = world_active;
-          trace->write_iteration(row);
+          trace->write(row);
         }
         ++global_it;
       } catch (const RecoveryInterrupt&) {
@@ -715,7 +715,7 @@ struct Worker {
         // terms stay 0 in this runtime (docs/TELEMETRY.md).
         row.stall_s = measured_s(t0);
         row.lost_iters = victim_at > global_it ? victim_at - global_it : 0;
-        trace->write_fault_event(row);
+        trace->write(row);
       }
       world_active = before - 1;
       fs->recovery_requested.store(false, std::memory_order_release);
@@ -804,7 +804,12 @@ ThreadedPipeline::ThreadedPipeline(ThreadedConfig cfg) : cfg_(cfg) {
 ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
   DYNMO_CHECK(!phases.empty(), "empty plan");
   const bool fault_mode = !cfg_.fault.empty();
-  for (const auto& ph : phases) {
+  // Walk the active set the workers will see, so a plan that maps layers
+  // onto (or re-joins) a released worker fails here, not inside a worker
+  // thread.
+  std::vector<bool> active(static_cast<std::size_t>(cfg_.workers), true);
+  for (std::size_t pi = 0; pi < phases.size(); ++pi) {
+    const PlanPhase& ph = phases[pi];
     DYNMO_CHECK(ph.map.num_stages() == cfg_.workers,
                 "every phase map must span all initial workers");
     DYNMO_CHECK(ph.map.num_layers() == cfg_.num_layers,
@@ -814,6 +819,12 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
       DYNMO_CHECK(static_cast<int>(ph.active->size()) == cfg_.workers,
                   "active mask size mismatch");
       DYNMO_CHECK((*ph.active)[0], "rank 0 must survive re-packing");
+      for (int r = 0; r < cfg_.workers; ++r) {
+        DYNMO_CHECK(active[r] || !(*ph.active)[r],
+                    "phase " << pi << " re-joins released worker " << r
+                             << "; re-joining needs restart_active");
+      }
+      active = *ph.active;
     }
     if (ph.restart_active) {
       DYNMO_CHECK(!ph.active,
@@ -823,6 +834,12 @@ ThreadedReport ThreadedPipeline::run(const std::vector<PlanPhase>& phases) {
                   "restart mask size mismatch");
       DYNMO_CHECK((*ph.restart_active)[0],
                   "rank 0 must stay active across a restart");
+      active = *ph.restart_active;
+    }
+    for (int r = 0; r < cfg_.workers; ++r) {
+      DYNMO_CHECK(active[r] || ph.map.stage_empty(r),
+                  "phase " << pi << " maps layers onto released worker "
+                           << r);
     }
     if (fault_mode) {
       // Loss recovery re-packs onto the heartbeat-visible survivors, so

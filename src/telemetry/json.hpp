@@ -50,6 +50,7 @@ class JsonValue {
   double as_double() const;       ///< accepts integral numbers too
   std::int64_t as_int() const;    ///< requires an integral number
   const std::string& as_string() const;
+  const std::vector<JsonValue>& as_array() const;
 
   const char* kind_name() const;
 };

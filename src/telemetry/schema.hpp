@@ -8,6 +8,12 @@
 // schema version under "_v"; readers reject rows from a different version
 // instead of silently misinterpreting them.
 //
+// Each column is declared once, in schema.cpp: a ColumnSpec names it and
+// holds a typed member pointer to its row field.  The catalog type is
+// derived from that pointer, and the writer, the reader and the catalog
+// all walk the same declarations (codec.hpp), so a new column or table is
+// one declaration, not four coordinated edits.
+//
 // The seven tables (docs/TELEMETRY.md has the full column reference):
 //   iterations           one row per simulated iteration
 //   stage_loads          one row per (iteration, stage), with the
@@ -28,6 +34,10 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace dynmo::telemetry {
@@ -42,25 +52,41 @@ enum class ColumnType { Int64, Float64, Bool, String, ListFloat64 };
 
 const char* to_string(ColumnType t);
 
-struct ColumnSpec {
+/// A typed pointer to one field of `Owner`.  The first five alternatives
+/// are the column types in ColumnType order, so a column's catalog type
+/// is the index of its pointer's alternative and cannot drift from the
+/// field's C++ type; the last two occur only in the run metadata.
+template <typename Owner>
+using FieldPtr =
+    std::variant<std::int64_t Owner::*, double Owner::*, bool Owner::*,
+                 std::string Owner::*, std::vector<double> Owner::*,
+                 std::uint64_t Owner::*, std::vector<int> Owner::*>;
+
+/// One serialized field of `Owner`: a table column, or an entry of the
+/// catalog's run metadata (which carries no unit or description).
+template <typename Owner>
+struct FieldSpec {
   const char* name;
-  ColumnType type;
-  const char* unit;  ///< "1" for dimensionless quantities
-  const char* description;
+  FieldPtr<Owner> field;
+  const char* unit = "1";  ///< "1" for dimensionless quantities
+  const char* description = "";
+  bool optional = false;  ///< may be absent on read (left at its default)
+
+  ColumnType type() const { return static_cast<ColumnType>(field.index()); }
 };
 
+template <typename Row>
+using ColumnSpec = FieldSpec<Row>;
+
+template <typename Row>
 struct TableSpec {
   const char* name;
-  const char* file;  ///< relative to the trace directory
   const char* description;
-  std::span<const ColumnSpec> columns;
+  std::span<const ColumnSpec<Row>> columns;
+
+  /// The table's JSONL file, relative to the trace directory.
+  std::string file() const { return std::string(name) + ".jsonl"; }
 };
-
-/// All tables a trace may contain, in catalog order.
-std::span<const TableSpec> table_specs();
-
-/// Lookup by name; throws dynmo::Error for an unknown table.
-const TableSpec& table_spec(std::string_view name);
 
 // ---------------------------------------------------------------- rows
 
@@ -233,6 +259,8 @@ struct RunInfo {
   std::vector<int> stage_to_rank;    ///< empty → stage s is rank s
   std::vector<double> capacities;    ///< empty → uniform
   std::vector<double> layer_params;  ///< static per-layer parameter counts
+
+  bool operator==(const RunInfo&) const = default;
 };
 
 /// Telemetry knob embedded in runtime configs: disabled (and zero-cost)
@@ -253,5 +281,49 @@ struct TelemetryConfig {
 
   bool enabled() const { return !dir.empty(); }
 };
+
+// -------------------------------------------------------------- tables
+
+/// Every table a trace may contain, in catalog order: one per row type.
+using TableSpecs =
+    std::tuple<TableSpec<IterationRow>, TableSpec<StageLoadRow>,
+               TableSpec<RebalanceDecisionRow>, TableSpec<MigrationRow>,
+               TableSpec<ElasticTransitionRow>, TableSpec<FleetDecisionRow>,
+               TableSpec<FaultEventRow>>;
+inline constexpr std::size_t kNumTables = std::tuple_size_v<TableSpecs>;
+
+/// The declarations (schema.cpp).
+const TableSpecs& table_specs();
+/// The catalog's "run" object: RunInfo's fields, then the TelemetryConfig
+/// switches that shaped the trace (written only).
+std::span<const FieldSpec<RunInfo>> run_fields();
+std::span<const FieldSpec<TelemetryConfig>> config_fields();
+
+template <typename Row>
+const TableSpec<Row>& table_spec() {
+  return std::get<TableSpec<Row>>(table_specs());
+}
+
+/// Catalog position of `Row`'s table, resolved at compile time.
+template <typename Row>
+inline constexpr std::size_t kTableIndex =
+    []<std::size_t... I>(std::index_sequence<I...>) {
+      std::size_t index = kNumTables;
+      ((std::is_same_v<std::tuple_element_t<I, TableSpecs>, TableSpec<Row>>
+            ? (index = I)
+            : 0),
+       ...);
+      return index;
+    }(std::make_index_sequence<kNumTables>{});
+
+/// Calls `fn(table_spec)` for every table, in catalog order.
+template <typename Fn>
+void for_each_table(Fn&& fn) {
+  std::apply([&](const auto&... table) { (fn(table), ...); }, table_specs());
+}
+
+/// Catalog position of the table called `name`; throws dynmo::Error for
+/// an unknown table.
+std::size_t table_index(std::string_view name);
 
 }  // namespace dynmo::telemetry

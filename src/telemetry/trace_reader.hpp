@@ -70,6 +70,9 @@ class TraceReader {
 
  private:
   std::string read_file(const std::string& name) const;
+  /// Every row of `Row`'s table, decoded through its column declarations.
+  template <typename Row>
+  std::vector<Row> rows() const;
 
   std::string dir_;
   Catalog catalog_;

@@ -3,77 +3,11 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <span>
-#include <type_traits>
 
 #include "core/error.hpp"
 #include "telemetry/json.hpp"
 
 namespace dynmo::telemetry {
-
-namespace {
-
-/// Incremental row builder: keeps the emitted key order in lockstep with
-/// the table's ColumnSpec order (the validator in tools/query_trace.py
-/// cross-checks every row against the catalog, so drift fails CI).
-class RowBuilder {
- public:
-  RowBuilder() { line_ = "{\"_v\":" + std::to_string(kSchemaVersion); }
-
-  RowBuilder& field(const char* key, std::int64_t v) {
-    sep(key);
-    line_ += std::to_string(v);
-    return *this;
-  }
-  RowBuilder& field(const char* key, double v) {
-    sep(key);
-    line_ += format_double(v);
-    return *this;
-  }
-  RowBuilder& field(const char* key, bool v) {
-    sep(key);
-    line_ += v ? "true" : "false";
-    return *this;
-  }
-  RowBuilder& field(const char* key, const std::string& v) {
-    sep(key);
-    append_json_string(line_, v);
-    return *this;
-  }
-  RowBuilder& field(const char* key, std::span<const double> v) {
-    sep(key);
-    line_ += '[';
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) line_ += ',';
-      line_ += format_double(v[i]);
-    }
-    line_ += ']';
-    return *this;
-  }
-
-  std::string finish() && {
-    line_ += "}\n";
-    return std::move(line_);
-  }
-
- private:
-  void sep(const char* key) {
-    line_ += ",\"";
-    line_ += key;
-    line_ += "\":";
-  }
-  std::string line_;
-};
-
-std::size_t table_index(std::string_view name) {
-  const auto specs = table_specs();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (name == specs[i].name) return i;
-  }
-  throw Error("unknown trace table: " + std::string(name));
-}
-
-}  // namespace
 
 TraceWriter::TraceWriter(TelemetryConfig cfg, RunInfo run)
     : cfg_(std::move(cfg)), run_(std::move(run)) {
@@ -86,13 +20,13 @@ TraceWriter::TraceWriter(TelemetryConfig cfg, RunInfo run)
   std::filesystem::create_directories(cfg_.dir, ec);
   DYNMO_CHECK(!ec, "cannot create trace directory " << cfg_.dir << ": "
                                                     << ec.message());
-  const auto specs = table_specs();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const std::string path = cfg_.dir + "/" + specs[i].file;
-    tables_[i].file = std::fopen(path.c_str(), "w");
-    DYNMO_CHECK(tables_[i].file != nullptr,
-                "cannot open trace table " << path);
-  }
+  std::size_t i = 0;
+  for_each_table([&](const auto& table) {
+    const std::string path = cfg_.dir + "/" + table.file();
+    Table& t = tables_[i++];
+    t.file = std::fopen(path.c_str(), "w");
+    DYNMO_CHECK(t.file != nullptr, "cannot open trace table " << path);
+  });
 }
 
 TraceWriter::~TraceWriter() {
@@ -110,12 +44,9 @@ TraceWriter::~TraceWriter() {
   }
 }
 
-TraceWriter::Table& TraceWriter::table(std::string_view name) {
-  return tables_[table_index(name)];
-}
-
-void TraceWriter::append_row(Table& t, const std::string& line) {
+void TraceWriter::append_row(std::size_t table, const std::string& line) {
   std::scoped_lock lock(mu_);
+  Table& t = tables_[table];
   DYNMO_CHECK(t.file != nullptr, "trace table already finalized");
   std::fwrite(line.data(), 1, line.size(), t.file);
   ++t.rows;
@@ -127,117 +58,6 @@ std::int64_t TraceWriter::rows_written(std::string_view name) const {
   return tables_[table_index(name)].rows;
 }
 
-void TraceWriter::write_iteration(const IterationRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("time_s", r.time_s)
-      .field("event_s", r.event_s)
-      .field("bottleneck_s", r.bottleneck_s)
-      .field("idleness", r.idleness)
-      .field("bubble_ratio", r.bubble_ratio)
-      .field("active_workers", r.active_workers)
-      .field("compute_fraction", r.compute_fraction)
-      .field("rebalanced", r.rebalanced)
-      .field("stall_s", r.stall_s);
-  append_row(table("iterations"), std::move(b).finish());
-}
-
-void TraceWriter::write_stage_load(const StageLoadRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("stage", r.stage)
-      .field("rank", r.rank)
-      .field("layer_begin", r.layer_begin)
-      .field("layer_end", r.layer_end)
-      .field("load_s", r.load_s)
-      .field("mem_bytes", r.mem_bytes)
-      .field("layer_s", std::span<const double>(r.layer_s))
-      .field("layer_mem", std::span<const double>(r.layer_mem));
-  append_row(table("stage_loads"), std::move(b).finish());
-}
-
-void TraceWriter::write_rebalance_decision(const RebalanceDecisionRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("trigger", r.trigger)
-      .field("algorithm", r.algorithm)
-      .field("balance_by", r.balance_by)
-      .field("decision", r.decision)
-      .field("projected_gain_s", r.projected_gain_s)
-      .field("exposed_cost_s", r.exposed_cost_s)
-      .field("candidate_bytes", r.candidate_bytes)
-      .field("migrated_bytes", r.migrated_bytes)
-      .field("migrated_layers", r.migrated_layers)
-      .field("imbalance_before", r.imbalance_before)
-      .field("imbalance_after", r.imbalance_after)
-      .field("decide_s", r.decide_s);
-  append_row(table("rebalance_decisions"), std::move(b).finish());
-}
-
-void TraceWriter::write_migration(const MigrationRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("trigger", r.trigger)
-      .field("layer", r.layer)
-      .field("from_stage", r.from_stage)
-      .field("to_stage", r.to_stage)
-      .field("bytes", r.bytes);
-  append_row(table("migrations"), std::move(b).finish());
-}
-
-void TraceWriter::write_elastic_transition(const ElasticTransitionRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("kind", r.kind)
-      .field("accepted", r.accepted)
-      .field("workers_before", r.workers_before)
-      .field("workers_after", r.workers_after)
-      .field("stall_s", r.stall_s)
-      .field("alpha_s", r.alpha_s)
-      .field("bootstrap_s", r.bootstrap_s)
-      .field("ckpt_write_s", r.ckpt_write_s)
-      .field("ckpt_read_s", r.ckpt_read_s)
-      .field("projected_gain_s", r.projected_gain_s)
-      .field("migrated_bytes", r.migrated_bytes);
-  append_row(table("elastic_transitions"), std::move(b).finish());
-}
-
-void TraceWriter::write_fleet_decision(const FleetDecisionRow& r) {
-  RowBuilder b;
-  b.field("time_s", r.time_s)
-      .field("job", r.job)
-      .field("kind", r.kind)
-      .field("accepted", r.accepted)
-      .field("priority", r.priority)
-      .field("gpus_before", r.gpus_before)
-      .field("gpus_after", r.gpus_after)
-      .field("pool_free_before", r.pool_free_before)
-      .field("pool_free_after", r.pool_free_after)
-      .field("fair_share", r.fair_share)
-      .field("projected_gain_gpu_s", r.projected_gain_gpu_s)
-      .field("exposed_cost_gpu_s", r.exposed_cost_gpu_s)
-      .field("victim", r.victim);
-  append_row(table("fleet_decisions"), std::move(b).finish());
-}
-
-void TraceWriter::write_fault_event(const FaultEventRow& r) {
-  RowBuilder b;
-  b.field("iter", r.iter)
-      .field("kind", r.kind)
-      .field("worker", r.worker)
-      .field("multiplier", r.multiplier)
-      .field("workers_before", r.workers_before)
-      .field("workers_after", r.workers_after)
-      .field("stall_s", r.stall_s)
-      .field("alpha_s", r.alpha_s)
-      .field("bootstrap_s", r.bootstrap_s)
-      .field("ckpt_write_s", r.ckpt_write_s)
-      .field("ckpt_read_s", r.ckpt_read_s)
-      .field("lost_work_s", r.lost_work_s)
-      .field("lost_iters", r.lost_iters);
-  append_row(table("fault_events"), std::move(b).finish());
-}
-
 void TraceWriter::write_catalog() {
   std::string out = "{\n";
   out += "  \"format\": \"";
@@ -245,103 +65,49 @@ void TraceWriter::write_catalog() {
   out += "\",\n  \"schema_version\": " + std::to_string(kSchemaVersion) +
          ",\n";
 
+  // One field per line (the golden-trace gate strips the machine-dependent
+  // ones line by line).
   out += "  \"run\": {\n";
-  const auto str_field = [&out](const char* key, const std::string& v,
-                                bool comma = true) {
-    out += "    \"";
-    out += key;
-    out += "\": ";
-    append_json_string(out, v);
-    out += comma ? ",\n" : "\n";
-  };
-  const auto int_field = [&out](const char* key, std::int64_t v) {
-    out += "    \"";
-    out += key;
-    out += "\": " + std::to_string(v) + ",\n";
-  };
-  const auto dbl_field = [&out](const char* key, double v) {
-    out += "    \"";
-    out += key;
-    out += "\": " + format_double(v) + ",\n";
-  };
-  const auto list_field = [&out](const char* key, const auto& values) {
-    out += "    \"";
-    out += key;
-    out += "\": [";
-    bool first = true;
-    for (const auto v : values) {
-      if (!first) out += ',';
-      first = false;
-      if constexpr (std::is_floating_point_v<decltype(v)>) {
-        out += format_double(v);
-      } else {
-        out += std::to_string(v);
-      }
+  const auto append_fields = [&out](const auto& owner, const auto& fields) {
+    for (const auto& f : fields) {
+      out += "    \"";
+      out += f.name;
+      out += "\": ";
+      append_field(out, owner, f.field);
+      out += ",\n";
     }
-    out += "],\n";
   };
-  const auto bool_field = [&out](const char* key, bool v,
-                                 bool comma = true) {
-    out += "    \"";
-    out += key;
-    out += "\": ";
-    out += v ? "true" : "false";
-    out += comma ? ",\n" : "\n";
-  };
-  str_field("producer", run_.producer);
-  // Backend/machine metadata: each on its own line so the golden-trace
-  // gate can strip exactly these before byte-comparing catalogs.
-  str_field("transport", run_.transport);
-  str_field("machine", run_.machine);
-  int_field("iterations", run_.iterations);
-  int_field("sim_stride", run_.sim_stride);
-  int_field("rebalance_interval", run_.rebalance_interval);
-  int_field("pipeline_stages", run_.pipeline_stages);
-  int_field("data_parallel", run_.data_parallel);
-  int_field("seed", static_cast<std::int64_t>(run_.seed));
-  str_field("mode", run_.mode);
-  str_field("algorithm", run_.algorithm);
-  str_field("balance_by", run_.balance_by);
-  dbl_field("mem_capacity", run_.mem_capacity);
-  dbl_field("min_bottleneck_gain", run_.min_bottleneck_gain);
-  dbl_field("payoff_window_iters", run_.payoff_window_iters);
-  dbl_field("migration_cost_multiplier", run_.migration_cost_multiplier);
-  dbl_field("migration_exposed_fraction", run_.migration_exposed_fraction);
-  dbl_field("gamma", run_.gamma);
-  list_field("stage_to_rank", run_.stage_to_rank);
-  list_field("capacities", run_.capacities);
-  list_field("layer_params", run_.layer_params);
-  bool_field("per_layer", cfg_.per_layer);
-  bool_field("deterministic", cfg_.deterministic, /*comma=*/false);
-  out += "  },\n";
+  append_fields(run_, run_fields());
+  append_fields(cfg_, config_fields());
+  out.resize(out.size() - 2);  // the last field takes no comma
+  out += "\n  },\n";
 
   out += "  \"tables\": [\n";
-  const auto specs = table_specs();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const TableSpec& spec = specs[i];
+  std::size_t i = 0;
+  for_each_table([&](const auto& table) {
     out += "    {\"name\": \"";
-    out += spec.name;
+    out += table.name;
     out += "\", \"file\": \"";
-    out += spec.file;
+    out += table.file();
     out += "\", \"rows\": " + std::to_string(tables_[i].rows) +
            ",\n     \"description\": ";
-    append_json_string(out, spec.description);
+    append_json_string(out, table.description);
     out += ",\n     \"columns\": [\n";
-    for (std::size_t c = 0; c < spec.columns.size(); ++c) {
-      const ColumnSpec& col = spec.columns[c];
+    for (std::size_t c = 0; c < table.columns.size(); ++c) {
+      const auto& col = table.columns[c];
       out += "       {\"name\": \"";
       out += col.name;
       out += "\", \"type\": \"";
-      out += to_string(col.type);
+      out += to_string(col.type());
       out += "\", \"unit\": \"";
       out += col.unit;
       out += "\", \"description\": ";
       append_json_string(out, col.description);
-      out += c + 1 < spec.columns.size() ? "},\n" : "}\n";
+      out += c + 1 < table.columns.size() ? "},\n" : "}\n";
     }
     out += "     ]}";
-    out += i + 1 < specs.size() ? ",\n" : "\n";
-  }
+    out += ++i < kNumTables ? ",\n" : "\n";
+  });
   out += "  ]\n}\n";
 
   const std::string path = cfg_.dir + "/" + kCatalogFile;

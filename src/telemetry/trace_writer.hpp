@@ -12,11 +12,13 @@
 // not even format a row.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
 #include <string>
 
+#include "telemetry/codec.hpp"
 #include "telemetry/schema.hpp"
 
 namespace dynmo::telemetry {
@@ -31,13 +33,11 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  void write_iteration(const IterationRow& row);
-  void write_stage_load(const StageLoadRow& row);
-  void write_rebalance_decision(const RebalanceDecisionRow& row);
-  void write_migration(const MigrationRow& row);
-  void write_elastic_transition(const ElasticTransitionRow& row);
-  void write_fleet_decision(const FleetDecisionRow& row);
-  void write_fault_event(const FaultEventRow& row);
+  /// Appends `row` to the table its type belongs to (schema.hpp).
+  template <typename Row>
+  void write(const Row& row) {
+    append_row(kTableIndex<Row>, encode_row(row));
+  }
 
   /// Flush all tables and write catalog.json.  Idempotent; rows written
   /// after finalize() reopen the pending state and require another call.
@@ -53,15 +53,13 @@ class TraceWriter {
     std::int64_t rows = 0;
   };
 
-  Table& table(std::string_view name);
-  void append_row(Table& t, const std::string& line);
+  void append_row(std::size_t table, const std::string& line);
   void write_catalog();
 
   TelemetryConfig cfg_;
   RunInfo run_;
   mutable std::mutex mu_;
-  // Indexed in table_specs() order.
-  Table tables_[7];
+  std::array<Table, kNumTables> tables_;  // in catalog order
   bool finalized_ = false;
 };
 

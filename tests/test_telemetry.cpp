@@ -36,19 +36,26 @@ std::string trace_dir(const char* name) {
 TEST(Telemetry, WriterReaderRoundTrip) {
   const auto dir = trace_dir("roundtrip");
 
+  // Every RunInfo field off its default, so a reader that drops one fails.
   telemetry::RunInfo run;
   run.producer = "session";
+  run.transport = "socket";
+  run.machine = "node-7";
   run.iterations = 100;
   run.sim_stride = 2;
-  run.rebalance_interval = 1;
+  run.rebalance_interval = 3;
   run.pipeline_stages = 4;
   run.data_parallel = 2;
-  run.seed = 0xfeedULL;
+  run.seed = 0xfeedfacecafebeefULL;  // above INT64_MAX: the bit pattern
   run.mode = "DynMo";
   run.algorithm = "diffusion";
-  run.balance_by = "time";
+  run.balance_by = "param";
   run.mem_capacity = 80.0 * (1ull << 30);
+  run.min_bottleneck_gain = 0.015;
   run.payoff_window_iters = 20.0;
+  run.migration_cost_multiplier = 1.5;
+  run.migration_exposed_fraction = 0.25;
+  run.gamma = 0.7;
   run.stage_to_rank = {0, 2, 4, 6};
   run.capacities = {1.0, 1.0, 0.5, 0.5};
   run.layer_params = {1e6, 2e6};
@@ -147,13 +154,13 @@ TEST(Telemetry, WriterReaderRoundTrip) {
     telemetry::TelemetryConfig cfg;
     cfg.dir = dir;
     telemetry::TraceWriter writer(cfg, run);
-    writer.write_iteration(it);
-    writer.write_stage_load(sl);
-    writer.write_rebalance_decision(rd);
-    writer.write_migration(mg);
-    writer.write_elastic_transition(et);
-    writer.write_fault_event(fe);
-    writer.write_fleet_decision(fd);
+    writer.write(it);
+    writer.write(sl);
+    writer.write(rd);
+    writer.write(mg);
+    writer.write(et);
+    writer.write(fe);
+    writer.write(fd);
     EXPECT_EQ(writer.rows_written("iterations"), 1);
     EXPECT_EQ(writer.rows_written("elastic_transitions"), 1);
     EXPECT_EQ(writer.rows_written("fleet_decisions"), 1);
@@ -165,17 +172,7 @@ TEST(Telemetry, WriterReaderRoundTrip) {
   EXPECT_EQ(reader.catalog().schema_version, telemetry::kSchemaVersion);
   EXPECT_EQ(reader.catalog().tables.size(), 7u);
 
-  const auto& r = reader.run();
-  EXPECT_EQ(r.producer, run.producer);
-  EXPECT_EQ(r.iterations, run.iterations);
-  EXPECT_EQ(r.sim_stride, run.sim_stride);
-  EXPECT_EQ(r.seed, run.seed);
-  EXPECT_EQ(r.mode, run.mode);
-  EXPECT_EQ(r.stage_to_rank, run.stage_to_rank);
-  EXPECT_EQ(r.capacities, run.capacities);
-  EXPECT_EQ(r.layer_params, run.layer_params);
-  EXPECT_EQ(r.mem_capacity, run.mem_capacity);
-  EXPECT_EQ(r.payoff_window_iters, run.payoff_window_iters);
+  EXPECT_EQ(reader.run(), run);
 
   // Typed rows survive the JSONL round trip exactly, doubles included.
   ASSERT_EQ(reader.iterations().size(), 1u);
@@ -192,6 +189,45 @@ TEST(Telemetry, WriterReaderRoundTrip) {
   EXPECT_EQ(reader.fault_events()[0], fe);
   ASSERT_EQ(reader.fleet_decisions().size(), 1u);
   EXPECT_EQ(reader.fleet_decisions()[0], fd);
+}
+
+// A malformed row names its table, line and column.
+TEST(Telemetry, DecodeErrorsNameTableLineAndColumn) {
+  const auto dir = trace_dir("decode_errors");
+  {
+    telemetry::TelemetryConfig cfg;
+    cfg.dir = dir;
+    telemetry::TraceWriter writer(cfg, telemetry::RunInfo{});
+    writer.write(telemetry::FaultEventRow{});
+  }
+  const std::string path = dir + "/fault_events.jsonl";
+  std::string row;
+  {
+    std::ifstream in(path);
+    std::getline(in, row);
+  }
+  const auto expect_error = [&](const std::string& bad_row,
+                                const std::string& column) {
+    std::ofstream(path) << row << "\n" << bad_row << "\n";
+    try {
+      (void)telemetry::TraceReader(dir).fault_events();
+      ADD_FAILURE() << "no error for " << bad_row;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fault_events:2:"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + column + "'"), std::string::npos) << what;
+    }
+  };
+  // The writer's row with its last column dropped ...
+  const auto last = row.rfind(",\"lost_iters\"");
+  ASSERT_NE(last, std::string::npos);
+  expect_error(row.substr(0, last) + "}", "lost_iters");
+  // ... and with a string where an integer belongs.
+  const auto worker = row.find("\"worker\":0");
+  ASSERT_NE(worker, std::string::npos);
+  std::string mistyped = row;
+  mistyped.replace(worker, 10, "\"worker\":\"3\"");
+  expect_error(mistyped, "worker");
 }
 
 TEST(Telemetry, ReaderRejectsMissingDirectory) {

@@ -267,5 +267,34 @@ TEST(Threaded, RejectsMalformedPlans) {
   EXPECT_THROW((void)pipe.run({bad_restart}), Error);  // release xor restart
 }
 
+// Plans that would only fail inside a worker thread (where a throw ends
+// the process in std::terminate) are rejected on the caller's thread.
+TEST(Threaded, RejectsLayersOnReleasedWorkersBeforeStarting) {
+  ThreadedPipeline pipe(small_config());
+  PlanPhase restart;
+  restart.map = pipeline::StageMap::uniform(8, 4);
+  restart.iterations = 1;
+  restart.restart_active = std::vector<bool>{true, true, true, false};
+  EXPECT_THROW((void)pipe.run({restart}), Error);
+
+  PlanPhase release;
+  release.map = pipeline::StageMap::uniform(8, 4);
+  release.iterations = 1;
+  release.active = std::vector<bool>{true, true, false, false};
+  EXPECT_THROW((void)pipe.run({release}), Error);
+}
+
+TEST(Threaded, RejectsReleaseMaskThatRejoinsAReleasedWorker) {
+  ThreadedPipeline pipe(small_config());
+  PlanPhase p1;
+  p1.map = pipeline::StageMap::from_boundaries({0, 4, 8, 8, 8});
+  p1.iterations = 1;
+  p1.active = std::vector<bool>{true, true, false, false};
+  PlanPhase p2 = p1;
+  p2.map = pipeline::StageMap::uniform(8, 4);
+  p2.active = std::vector<bool>{true, true, true, true};
+  EXPECT_THROW((void)pipe.run({p1, p2}), Error);
+}
+
 }  // namespace
 }  // namespace dynmo::runtime
