@@ -1,14 +1,17 @@
-// Micro-benchmarks (google-benchmark) for the real compute kernels: dense
-// matmul and top-k selection — the building blocks of the threaded runtime
-// and the distributed pruning path.
+// Micro-benchmarks (google-benchmark) for the real compute kernels of the
+// threaded runtime and the distributed pruning path: dense matmul, top-k
+// selection, and the checkpoint codec that every elastic restart and
+// recovery cut runs (serialize once, deserialize on every rank).
 #include <benchmark/benchmark.h>
 
 #include "core/rng.hpp"
+#include "runtime/checkpoint.hpp"
 #include "tensor/tensor.hpp"
 
 namespace {
 
 using dynmo::Rng;
+using dynmo::runtime::Checkpoint;
 using dynmo::tensor::Tensor;
 
 // GFLOP/s over wall time (UseRealTime): a kernel that hands work to other
@@ -67,6 +70,47 @@ void BM_TopK(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopK)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+// Bytes/s over wall time, like set_gflops.
+void set_bytes_rate(benchmark::State& state, std::size_t bytes) {
+  state.counters["bytes/s"] = benchmark::Counter(
+      static_cast<double>(bytes) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+// A threaded-runtime restart checkpoint at perfbench's shape: 16 layers of
+// 64 x 64 weights on 4 stages, no layer states (262,784 bytes).
+Checkpoint restart_checkpoint() {
+  Checkpoint ckpt;
+  ckpt.iteration = 1000;
+  ckpt.stage_map = dynmo::pipeline::StageMap::uniform(16, 4);
+  Rng rng(5);
+  for (std::uint64_t l = 0; l < 16; ++l) {
+    ckpt.weights.emplace(l, Tensor::random(64, 64, rng));
+  }
+  return ckpt;
+}
+
+void BM_CheckpointSerialize(benchmark::State& state) {
+  const Checkpoint ckpt = restart_checkpoint();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto blob = ckpt.serialize();
+    bytes = blob.size();
+    benchmark::DoNotOptimize(blob.data());
+  }
+  set_bytes_rate(state, bytes);
+}
+BENCHMARK(BM_CheckpointSerialize)->UseRealTime();
+
+void BM_CheckpointDeserialize(benchmark::State& state) {
+  const auto blob = restart_checkpoint().serialize();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Checkpoint::deserialize(blob));
+  }
+  set_bytes_rate(state, blob.size());
+}
+BENCHMARK(BM_CheckpointDeserialize)->UseRealTime();
 
 }  // namespace
 

@@ -73,6 +73,20 @@ class Packer {
     return put_span(std::span<const T>(xs));
   }
 
+  /// Overwrite sizeof(T) bytes written earlier at `pos`: a length prefix
+  /// that is known only once its body has been appended.
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  Packer& put_at(std::size_t pos, const T& v) {
+    DYNMO_ASSERT(pos <= buf_.size() && sizeof(T) <= buf_.size() - pos,
+                 "put_at past the end");
+    std::memcpy(buf_.data() + pos, &v, sizeof(T));
+    return *this;
+  }
+
+  std::size_t size() const { return buf_.size(); }
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  std::span<const std::byte> bytes() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }
 
  private:
@@ -97,16 +111,27 @@ class Unpacker {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_vector() {
+    const auto bytes = get_span<T>();
+    std::vector<T> out(bytes.size() / sizeof(T));
+    if (!bytes.empty()) {  // memcpy requires non-null pointers even for size 0
+      std::memcpy(out.data(), bytes.data(), bytes.size());
+    }
+    return out;
+  }
+
+  /// The body of a put_span<T> record, in place: the bounds-checked
+  /// count x sizeof(T) bytes, without copying them.  The stream has no
+  /// alignment, so the bytes are returned raw; memcpy them out as T.
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  std::span<const std::byte> get_span() {
     const auto n = get<std::uint64_t>();
     // Divide instead of multiplying: a corrupted length near 2^64/sizeof(T)
     // must overrun, not wrap around and pass the bounds check.
     DYNMO_CHECK(n <= (buf_.size() - pos_) / sizeof(T), "unpack overrun");
-    std::vector<T> out(n);
-    if (n != 0) {  // memcpy requires non-null pointers even for size 0
-      std::memcpy(out.data(), buf_.data() + pos_, n * sizeof(T));
-      pos_ += n * sizeof(T);
-    }
-    return out;
+    const auto bytes = buf_.subspan(pos_, n * sizeof(T));
+    pos_ += bytes.size();
+    return bytes;
   }
 
   bool exhausted() const { return pos_ == buf_.size(); }

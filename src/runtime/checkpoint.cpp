@@ -1,5 +1,6 @@
 #include "runtime/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -11,14 +12,6 @@
 namespace dynmo::runtime {
 
 namespace {
-
-std::uint64_t buffer_checksum(std::span<const std::byte> bytes) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    h = hash_mix(h, static_cast<std::uint8_t>(bytes[i]), i);
-  }
-  return h;
-}
 
 void pack_layer_state(comm::Packer& p, const model::LayerState& s) {
   p.put(s.weight_density);
@@ -46,11 +39,16 @@ model::LayerState unpack_layer_state(comm::Unpacker& u) {
   return s;
 }
 
-/// Frame one field: [u16 tag][u64 size][payload bytes].
-void put_field(comm::Packer& p, CheckpointField tag, comm::Packer payload) {
+/// Frame one field in place: [u16 tag][u64 size][payload bytes], the
+/// size patched in once `fill` has appended the payload.
+template <typename Fn>
+void put_field(comm::Packer& p, CheckpointField tag, Fn&& fill) {
   p.put(static_cast<std::uint16_t>(tag));
-  const auto bytes = payload.take();
-  p.put_span(std::span<const std::byte>(bytes));
+  const std::size_t size_at = p.size();
+  p.put<std::uint64_t>(0);
+  fill(p);
+  p.put_at<std::uint64_t>(size_at,
+                          p.size() - size_at - sizeof(std::uint64_t));
 }
 
 /// Parse one field payload, converting any structural failure (overrun,
@@ -84,17 +82,17 @@ void put_tensor(comm::Packer& p, const tensor::Tensor& t) {
 tensor::Tensor get_tensor(comm::Unpacker& u) {
   const auto rows = u.get<std::uint64_t>();
   const auto cols = u.get<std::uint64_t>();
-  const auto data = u.get_vector<float>();
+  const auto data = u.get_span<float>();
+  const std::size_t count = data.size() / sizeof(float);
   // Divide instead of multiplying rows * cols: a corrupted shape whose
   // product wraps past 2^64 must fail here, not reach the Tensor allocator.
   const bool shape_ok = (rows == 0 || cols == 0)
-                            ? data.empty()
-                            : data.size() / rows == cols &&
-                                  data.size() % rows == 0;
+                            ? count == 0
+                            : count / rows == cols && count % rows == 0;
   DYNMO_CHECK(shape_ok, "tensor shape " << rows << "x" << cols << " != "
-                                        << data.size() << " floats");
+                                        << count << " floats");
   tensor::Tensor t(rows, cols);
-  std::copy(data.begin(), data.end(), t.data().begin());
+  if (count != 0) std::memcpy(t.data().data(), data.data(), data.size());
   return t;
 }
 
@@ -114,6 +112,41 @@ void get_weights(comm::Unpacker& u, LayerWeights& out) {
   }
 }
 
+/// One fold step: xor the word in, multiply by an odd constant, xorshift.
+/// For a fixed word each of the three is a bijection of the state, and
+/// for a fixed state the step is a bijection of the word.
+constexpr std::uint64_t fold_word(std::uint64_t h, std::uint64_t w) {
+  h = (h ^ w) * 0x9fb21c651e98df25ULL;
+  return h ^ (h >> 29);
+}
+
+std::uint64_t Checkpoint::checksum(std::span<const std::byte> bytes) {
+  // Word i folds into lane i % 4, so the four chains run in parallel.
+  std::uint64_t lane[4] = {0x9e3779b97f4a7c15ULL, 0xd1b54a32d192ed03ULL,
+                           0x8cb92ba72f3d8dd7ULL, 0xabc98388fb8fac03ULL};
+  const std::size_t n = bytes.size();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      std::uint64_t w;
+      std::memcpy(&w, bytes.data() + i + 8 * j, sizeof(w));
+      lane[j] = fold_word(lane[j], w);
+    }
+  }
+  // Up to three whole words, then the tail zero-padded into a last word.
+  for (std::size_t j = 0; i < n; i += 8, ++j) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes.data() + i, std::min<std::size_t>(8, n - i));
+    lane[j] = fold_word(lane[j], w);
+  }
+  std::uint64_t h = lane[0];
+  for (std::size_t j = 1; j < 4; ++j) h = fold_word(h, lane[j]);
+  // Mixing the length in separates streams that differ only in trailing
+  // zero bytes.
+  h ^= n;
+  return splitmix64(h);
+}
+
 const char* to_string(CheckpointField f) {
   switch (f) {
     case CheckpointField::Iteration: return "iteration";
@@ -125,40 +158,30 @@ const char* to_string(CheckpointField f) {
 }
 
 std::vector<std::byte> Checkpoint::serialize() const {
+  // Reserve the whole stream up front (header, frames, counts and trailer
+  // fit in 128 bytes): grown by doubling, a restart-sized stream would be
+  // reallocated and copied over a dozen times.
+  std::size_t capacity = 128 + 8 * stage_map.boundaries().size() +
+                         kPackedLayerStateBytes * layer_states.size();
+  for (const auto& [layer, w] : weights) capacity += 4 * 8 + w.bytes();
   comm::Packer p;
+  p.reserve(capacity);
   p.put(kMagic);
   p.put(kVersion);
-
-  {
-    comm::Packer f;
-    f.put(iteration);
-    put_field(p, CheckpointField::Iteration, std::move(f));
-  }
-  {
-    comm::Packer f;
+  put_field(p, CheckpointField::Iteration,
+            [&](comm::Packer& f) { f.put(iteration); });
+  put_field(p, CheckpointField::StageMap, [&](comm::Packer& f) {
     const auto& b = stage_map.boundaries();
     f.put_vector(std::vector<std::uint64_t>(b.begin(), b.end()));
-    put_field(p, CheckpointField::StageMap, std::move(f));
-  }
-  {
-    comm::Packer f;
+  });
+  put_field(p, CheckpointField::LayerStates, [&](comm::Packer& f) {
     f.put<std::uint64_t>(layer_states.size());
     for (const auto& s : layer_states) pack_layer_state(f, s);
-    put_field(p, CheckpointField::LayerStates, std::move(f));
-  }
-  {
-    comm::Packer f;
-    put_weights(f, weights);
-    put_field(p, CheckpointField::Weights, std::move(f));
-  }
-
-  auto body = p.take();
-  const std::uint64_t checksum = buffer_checksum(body);
-  comm::Packer tail;
-  tail.put(checksum);
-  const auto tail_bytes = tail.take();
-  body.insert(body.end(), tail_bytes.begin(), tail_bytes.end());
-  return body;
+  });
+  put_field(p, CheckpointField::Weights,
+            [&](comm::Packer& f) { put_weights(f, weights); });
+  p.put(checksum(p.bytes()));
+  return p.take();
 }
 
 Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
@@ -188,10 +211,10 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
   while (!u.exhausted()) {
     const std::size_t field_off = u.pos();
     std::uint16_t raw_tag = 0;
-    std::vector<std::byte> payload;
+    std::span<const std::byte> payload;
     try {
       raw_tag = u.get<std::uint16_t>();
-      payload = u.get_vector<std::byte>();
+      payload = u.get_span<std::byte>();
     } catch (const Error&) {
       throw Error("checkpoint field frame truncated at stream offset " +
                   std::to_string(field_off) + " (" +
@@ -248,7 +271,7 @@ Checkpoint Checkpoint::deserialize(std::span<const std::byte> bytes) {
   {
     comm::Unpacker tail(bytes.subspan(body.size()));
     const auto stored = tail.get<std::uint64_t>();
-    const auto computed = buffer_checksum(body);
+    const auto computed = checksum(body);
     DYNMO_CHECK(stored == computed,
                 "checkpoint integrity checksum mismatch (stored 0x"
                     << std::hex << stored << ", computed 0x" << computed

@@ -54,9 +54,10 @@ void get_weights(comm::Unpacker& u, LayerWeights& out);
 
 struct Checkpoint {
   static constexpr std::uint32_t kMagic = 0x44594e4d;  // "DYNM"
-  /// v2: tagged [tag][size][payload] field framing (v1 was positional and
-  /// is rejected — its streams carry no field boundaries to validate).
-  static constexpr std::uint32_t kVersion = 2;
+  /// v3: the trailer is the word-wise checksum() (v2 folded byte by
+  /// byte).  v2 introduced the tagged [tag][size][payload] field framing
+  /// (v1 was positional).  Any other version is rejected.
+  static constexpr std::uint32_t kVersion = 3;
 
   std::int64_t iteration = 0;
   pipeline::StageMap stage_map;
@@ -73,6 +74,13 @@ struct Checkpoint {
   /// at; a stream that parses structurally but fails the integrity check
   /// reports both checksum values.
   static Checkpoint deserialize(std::span<const std::byte> bytes);
+
+  /// The integrity trailer: a fold over 8-byte little-endian words (the
+  /// tail zero-padded into a last word), four lanes interleaved, then the
+  /// length mixed into a splitmix64 finalizer.  Every step is a bijection
+  /// of the running state, so any corruption confined to one aligned word
+  /// always changes the value (docs/RUNTIME.md "Integrity checksum").
+  static std::uint64_t checksum(std::span<const std::byte> bytes);
 
   /// Convenience file I/O.
   void save(const std::string& path) const;

@@ -641,14 +641,15 @@ struct Worker {
   /// `map` assigns this rank (none for a dead rank, whose stage the
   /// recovery map leaves empty) and the checkpoint's iteration, so
   /// re-joining ranks continue the input stream where the others left it.
-  void load_layers(const Checkpoint& ckpt, const pipeline::StageMap& map) {
+  /// The tensors move out of the decoded checkpoint, which is discarded.
+  void load_layers(Checkpoint ckpt, const pipeline::StageMap& map) {
     global_it = ckpt.iteration;
     weights.clear();
     for (std::size_t l = map.stage_begin(rank); l < map.stage_end(rank);
          ++l) {
       const auto it = ckpt.weights.find(l);
       DYNMO_CHECK(it != ckpt.weights.end(), "checkpoint misses layer " << l);
-      weights.emplace(l, it->second);
+      weights.emplace(l, std::move(it->second));
     }
   }
 

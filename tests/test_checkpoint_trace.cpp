@@ -97,7 +97,7 @@ TEST(Checkpoint, RejectsForeignMagic) {
   EXPECT_THROW((void)runtime::Checkpoint::deserialize(junk), Error);
 }
 
-/// One [u16 tag][u64 size][payload] frame of the v2 stream
+/// One [u16 tag][u64 size][payload] frame of the stream
 /// (docs/RUNTIME.md byte-layout table).
 struct FieldFrame {
   std::uint16_t tag = 0;
@@ -225,17 +225,94 @@ TEST(Checkpoint, DeserializeNamesTheFailingFieldAndOffset) {
 }
 
 TEST(Checkpoint, VersionBumpIsRejectedWithTheVersionNamed) {
-  auto bytes = sample_checkpoint().serialize();
-  const std::uint32_t future = runtime::Checkpoint::kVersion + 1;
-  std::memcpy(bytes.data() + sizeof(std::uint32_t), &future, sizeof(future));
-  try {
-    (void)runtime::Checkpoint::deserialize(bytes);
-    FAIL() << "future version deserialized";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version"), std::string::npos) << what;
-    EXPECT_NE(what.find(std::to_string(future)), std::string::npos) << what;
+  // A future version, and version 2, whose byte-wise checksum this build
+  // no longer computes.
+  for (const std::uint32_t other : {runtime::Checkpoint::kVersion + 1, 2u}) {
+    auto bytes = sample_checkpoint().serialize();
+    std::memcpy(bytes.data() + sizeof(std::uint32_t), &other, sizeof(other));
+    try {
+      (void)runtime::Checkpoint::deserialize(bytes);
+      ADD_FAILURE() << "version " << other << " deserialized";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(other) + " "),
+                std::string::npos)
+          << what;
+    }
   }
+}
+
+TEST(Checkpoint, EveryBitFlipIsRejected) {
+  // Body and trailer alike: a flip that leaves the structure parseable is
+  // confined to one aligned word, which the word-wise fold always detects.
+  const auto clean = sample_checkpoint().serialize();
+  std::vector<std::size_t> accepted;
+  for (std::size_t bit = 0; bit < clean.size() * 8; ++bit) {
+    auto bytes = clean;
+    bytes[bit / 8] ^= std::byte{static_cast<unsigned char>(1u << (bit % 8))};
+    try {
+      (void)runtime::Checkpoint::deserialize(bytes);
+      accepted.push_back(bit);
+    } catch (const Error&) {
+    }
+  }
+  EXPECT_TRUE(accepted.empty())
+      << accepted.size() << " of " << clean.size() * 8
+      << " single-bit flips were accepted, the first at bit "
+      << accepted.front();
+}
+
+TEST(Checkpoint, OneWordCorruptionHitsTheChecksum) {
+  // Every aligned word of the first tensor's floats (4x4: u64 count, then
+  // u64 layer, rows, cols and float count before the data), each under
+  // several multi-bit masks: the structure still parses, so the failure
+  // must be the integrity check's.
+  const auto clean = sample_checkpoint().serialize();
+  const auto frames = walk_frames(clean);
+  ASSERT_EQ(frames.size(), 4u);
+  const std::size_t data_begin = frames[3].payload_off + 5 * 8;
+  const std::size_t data_end = data_begin + 16 * sizeof(float);
+  Rng rng(23);
+  int words = 0;
+  for (std::size_t w = (data_begin + 7) / 8 * 8; w + 8 <= data_end; w += 8) {
+    ++words;
+    const std::uint64_t masks[] = {~std::uint64_t{0}, 0x8000000000000001,
+                                   0x00ff00ff00ff00ff, rng() | 1};
+    for (const std::uint64_t mask : masks) {
+      auto bytes = clean;
+      std::uint64_t word = 0;
+      std::memcpy(&word, bytes.data() + w, sizeof(word));
+      word ^= mask;
+      std::memcpy(bytes.data() + w, &word, sizeof(word));
+      try {
+        (void)runtime::Checkpoint::deserialize(bytes);
+        ADD_FAILURE() << "word at " << w << " corrupted by " << mask
+                      << " deserialized";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("checksum mismatch"), std::string::npos)
+            << "word at " << w << ": " << what;
+      }
+    }
+  }
+  EXPECT_GE(words, 7);
+}
+
+TEST(Checkpoint, ChecksumKnownAnswer) {
+  // 45 bytes: one four-lane block, one whole word, and a 5-byte tail.
+  // This value is the version-3 fold; a change to checksum() must fail
+  // here and bump Checkpoint::kVersion along with the pin.
+  std::vector<std::byte> stream(45);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    stream[i] = static_cast<std::byte>(i * 37 + 1);
+  }
+  EXPECT_EQ(runtime::Checkpoint::kVersion, 3u);
+  EXPECT_EQ(runtime::Checkpoint::checksum(stream), 0x0709c9d06ddd8e40u);
+  // The length is mixed in: trailing zero bytes change the value.
+  auto padded = stream;
+  padded.push_back(std::byte{0});
+  EXPECT_NE(runtime::Checkpoint::checksum(padded),
+            runtime::Checkpoint::checksum(stream));
 }
 
 TEST(Checkpoint, RoundTripAcrossWorkerCounts) {

@@ -3,6 +3,7 @@
 // isolation, and the alpha-beta cost model.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <thread>
 
@@ -45,6 +46,24 @@ TEST(Packer, UnpackerThrowsOnOverrun) {
   Unpacker u(buf);
   (void)u.get<std::uint8_t>();
   EXPECT_THROW((void)u.get<int>(), Error);
+}
+
+TEST(Packer, GetSpanViewsTheBodyInPlaceAndChecksTheCount) {
+  Packer p;
+  p.put<std::uint8_t>(7);  // misaligns the span body on purpose
+  p.put_vector(std::vector<float>{1.5f, -2.0f});
+  p.put<std::uint64_t>(std::uint64_t{1} << 62);  // x 4 bytes wraps to 0
+  const auto buf = p.take();
+  Unpacker u(buf);
+  (void)u.get<std::uint8_t>();
+  const auto body = u.get_span<float>();
+  ASSERT_EQ(body.size(), 2 * sizeof(float));
+  EXPECT_EQ(body.data(), buf.data() + 1 + sizeof(std::uint64_t));
+  float second = 0.0f;
+  std::memcpy(&second, body.data() + sizeof(float), sizeof(float));
+  EXPECT_EQ(second, -2.0f);
+  // A count whose byte size wraps past 2^64 must overrun, not pass.
+  EXPECT_THROW((void)u.get_span<float>(), Error);
 }
 
 TEST(Comm, PointToPoint) {

@@ -21,10 +21,52 @@
 #include "repack/elastic.hpp"
 #include "runtime/session.hpp"
 #include "runtime/threaded.hpp"
+#include "telemetry/codec.hpp"
 #include "telemetry/trace_reader.hpp"
 #include "telemetry/trace_writer.hpp"
 
 namespace dynmo {
+
+// gtest prints a failed EXPECT_EQ operand through PrintTo: name each field
+// with its encoded value instead of dumping the struct's bytes.
+namespace telemetry {
+
+template <typename Owner>
+void print_fields(const Owner& owner, std::span<const FieldSpec<Owner>> fields,
+                  std::ostream* os) {
+  std::string out = "{";
+  for (const FieldSpec<Owner>& f : fields) {
+    if (out.size() > 1) out += ", ";
+    out += f.name;
+    out += '=';
+    append_field(out, owner, f.field);
+  }
+  *os << out << '}';
+}
+
+void PrintTo(const RunInfo& r, std::ostream* os) {
+  print_fields(r, run_fields(), os);
+}
+template <typename Row>
+void print_row(const Row& row, std::ostream* os) {
+  print_fields(row, table_spec<Row>().columns, os);
+}
+void PrintTo(const IterationRow& r, std::ostream* os) { print_row(r, os); }
+void PrintTo(const StageLoadRow& r, std::ostream* os) { print_row(r, os); }
+void PrintTo(const RebalanceDecisionRow& r, std::ostream* os) {
+  print_row(r, os);
+}
+void PrintTo(const MigrationRow& r, std::ostream* os) { print_row(r, os); }
+void PrintTo(const ElasticTransitionRow& r, std::ostream* os) {
+  print_row(r, os);
+}
+void PrintTo(const FaultEventRow& r, std::ostream* os) { print_row(r, os); }
+void PrintTo(const FleetDecisionRow& r, std::ostream* os) {
+  print_row(r, os);
+}
+
+}  // namespace telemetry
+
 namespace {
 
 std::string trace_dir(const char* name) {
